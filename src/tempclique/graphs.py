@@ -73,8 +73,9 @@ class TemporalGraph:
         labels = np.asarray(self.labels, dtype=np.float64)
         if labels.shape != u.shape:
             raise ValueError("labels must align with edges")
-        if labels.size and (labels.min() < 0.0 or labels.max() > 1.0):
-            raise ValueError("labels must lie in [0, 1]")
+        # NaN fails both comparisons, so it is rejected with the infinities
+        if not ((labels >= 0.0) & (labels <= 1.0)).all():
+            raise ValueError("labels must be finite and lie in [0, 1]")
         for name, arr in (("u", u), ("v", v), ("labels", labels)):
             arr = arr.copy()
             arr.setflags(write=False)

@@ -9,12 +9,17 @@ window.
   the windows [label(e), label(e) + delta] anchored at each edge e in label
   order, maintaining the window graph incrementally as a bitset adjacency,
   and inside each window search only cliques containing the anchor edge's
-  endpoints with a branch-and-bound using greedy-coloring upper bounds.
+  endpoints with a branch-and-bound using greedy-coloring upper bounds.  The
+  bitsets use bit positions renumbered from time to time by descending
+  window degree, which tightens the coloring bounds; the witness is then
+  re-derived in vertex-id order, so it equals that of an id-order search.
 * heuristic: randomized greedy plus (1,2)-swap local search over a spread of
   anchored windows, vectorized with numpy; valid but not necessarily optimal.
 
-All routes re-validate their witness through `delta_clique_check` before
-returning, so a returned clique is always sound.
+Both sweeps admit a label x into the window anchored at t when x - t <= delta,
+the test `delta_clique_check` applies to a witness's interval.  All routes
+re-validate their witness through `delta_clique_check` before returning, so a
+returned clique is always sound.
 """
 
 from __future__ import annotations
@@ -81,14 +86,14 @@ class SolveResult:
 
 
 class _SearchState:
-    __slots__ = ("best_size", "best", "deadline", "timed_out", "tick")
+    __slots__ = ("best_size", "best", "deadline", "timed_out", "nodes")
 
     def __init__(self, best_size: int, deadline: float | None):
         self.best_size = best_size
         self.best: tuple[int, ...] | None = None
         self.deadline = deadline
         self.timed_out = False
-        self.tick = 0
+        self.nodes = 0  # B&B nodes visited
 
 
 def _color_order(adj: list[int], P: int) -> tuple[list[int], list[int]]:
@@ -115,12 +120,10 @@ def _color_order(adj: list[int], P: int) -> tuple[list[int], list[int]]:
 
 def _expand(adj: list[int], P: int, rstack: list[int], state: _SearchState) -> None:
     """Tomita-style branch and bound over candidates P extending clique rstack."""
+    state.nodes += 1
     if state.deadline is not None:
-        state.tick += 1
-        if state.tick >= 1024:
-            state.tick = 0
-            if time.perf_counter() > state.deadline:
-                state.timed_out = True
+        if not state.nodes & 1023 and time.perf_counter() > state.deadline:
+            state.timed_out = True
         if state.timed_out:
             return
     rsize = len(rstack)
@@ -283,6 +286,22 @@ def max_delta_clique_bruteforce(
     return CliqueResult(best_verts, best_size, best_lo, best_hi)
 
 
+def _window_masks(
+    n: int, su: list[int], sv: list[int], lo: int, hi: int, pos: list[int]
+) -> list[int]:
+    """Bitset adjacency of the window of sorted edges lo..hi-1, with vertex v
+    at bit pos[v]."""
+    bit = [1 << p for p in pos]
+    by_vertex = [0] * n
+    for a, b in zip(su[lo:hi], sv[lo:hi]):
+        by_vertex[a] |= bit[b]
+        by_vertex[b] |= bit[a]
+    adj = [0] * n
+    for v, p in enumerate(pos):
+        adj[p] = by_vertex[v]
+    return adj
+
+
 def max_delta_clique_exact(
     tg: TemporalGraph, delta: float, config: SolverConfig | None = None
 ) -> SolveResult:
@@ -293,6 +312,15 @@ def max_delta_clique_exact(
     (in label order) and searching, inside each window, only cliques that
     contain e's endpoints visits every optimum at least once.  The window
     graph is maintained incrementally as edges enter and leave.
+
+    The search runs on relabeled bit positions: whenever the B&B has visited
+    as many nodes as the current window has edges, vertices are renumbered by
+    descending window degree (ties by id), so greedy coloring takes the dense
+    part of the window first and its bounds are tighter.  The incumbent size
+    after each anchor does not depend on the numbering, so once the sweep has
+    finished, the anchor where the incumbent last grew is searched again in
+    vertex-id order from the size it had before; that yields the same witness
+    as an id-order sweep.
     """
     cfg = config or SolverConfig(mode="exact")
     if not 0.0 <= delta <= 1.0:
@@ -300,48 +328,98 @@ def max_delta_clique_exact(
     t_start = time.perf_counter()
     n, m = tg.n, tg.m
     deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
-    best_verts: tuple[int, ...] = (0,)
-    best_size = 1
+    best: tuple[int, ...] = (0,)
     optimal = True
     if m > 0:
         order = np.argsort(tg.labels, kind="stable")
         su = tg.u[order].tolist()
         sv = tg.v[order].tolist()
         slab = tg.labels[order].tolist()
+        ident = list(range(n))
+        pos = inv = ident  # bit position of each vertex, vertex at each position
         adj = [0] * n
         hi = 0
-        state = _SearchState(best_size, deadline)
+        state = _SearchState(1, deadline)
+        relabeled_at = 0  # state.nodes at the last relabel
+        grown = None  # (anchor, window end, incumbent size before) of the last growth
         for a in range(m):
-            limit = slab[a] + delta
-            while hi < m and slab[hi] <= limit:
-                adj[su[hi]] |= 1 << sv[hi]
-                adj[sv[hi]] |= 1 << su[hi]
+            # delta_clique_check's predicate: the window holds the labels x
+            # with x - t <= delta; float subtraction is monotone in x
+            t = slab[a]
+            while hi < m and slab[hi] - t <= delta:
+                p, q = pos[su[hi]], pos[sv[hi]]
+                adj[p] |= 1 << q
+                adj[q] |= 1 << p
                 hi += 1
             if a > 0:
-                adj[su[a - 1]] &= ~(1 << sv[a - 1])
-                adj[sv[a - 1]] &= ~(1 << su[a - 1])
+                p, q = pos[su[a - 1]], pos[sv[a - 1]]
+                adj[p] &= ~(1 << q)
+                adj[q] &= ~(1 << p)
             if deadline is not None and time.perf_counter() > deadline:
                 optimal = False
                 break
             u0, v0 = su[a], sv[a]
             if state.best_size < 2:
                 state.best_size = 2
-                state.best = (u0, v0)
+                best = (u0, v0)
             # a clique of size s+1 needs C(s+1, 2) edges inside the window
             if hi - a < comb(state.best_size + 1, 2):
                 continue
-            cands = adj[u0] & adj[v0]
+            if state.nodes - relabeled_at >= hi - a:
+                inv = sorted(ident, key=lambda v: (-adj[pos[v]].bit_count(), v))
+                pos = [0] * n
+                for p, v in enumerate(inv):
+                    pos[v] = p
+                adj = _window_masks(n, su, sv, a, hi, pos)
+                relabeled_at = state.nodes
+            p, q = pos[u0], pos[v0]
+            cands = adj[p] & adj[q]
             if cands.bit_count() + 2 <= state.best_size:
                 continue
-            _expand(adj, cands, [u0, v0], state)
+            before = state.best_size
+            _expand(adj, cands, [p, q], state)
+            if state.best_size > before:
+                best = tuple(inv[p] for p in state.best)
+                grown = (a, hi, before)
             if state.timed_out:
                 optimal = False
                 break
-        if state.best is not None:
-            best_verts = tuple(sorted(state.best))
-            best_size = state.best_size
-    witness = delta_clique_check(tg, best_verts, delta)
+        if grown is not None and optimal:
+            a, hi, before = grown
+            adj = _window_masks(n, su, sv, a, hi, ident)
+            rederive = _SearchState(before, deadline)
+            _expand(adj, adj[su[a]] & adj[sv[a]], [su[a], sv[a]], rederive)
+            if not rederive.timed_out:
+                best = rederive.best
+    witness = delta_clique_check(tg, best, delta)
     return SolveResult(witness, optimal, "exact", time.perf_counter() - t_start)
+
+
+def _window_counts(slab: np.ndarray, delta: float) -> np.ndarray:
+    """For sorted labels slab, counts[a] is the number of indices j >= a with
+    slab[j] - slab[a] <= delta, the predicate of `delta_clique_check`.
+
+    Anchors go in blocks, so the temporaries stay small next to the
+    heuristic's n x n window matrices."""
+    m, block = slab.size, 1 << 16
+    counts = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, block):
+        t = slab[lo : lo + block]
+        ends = np.searchsorted(slab, t + delta, side="right")
+        # t + delta is rounded, so the bisection can stop an ulp or two away
+        # from the predicate's boundary; step it there
+        while True:
+            step = (ends < m) & (slab[np.minimum(ends, m - 1)] - t <= delta)
+            if not step.any():
+                break
+            ends += step
+        while True:
+            step = slab[ends - 1] - t > delta
+            if not step.any():
+                break
+            ends -= step
+        counts[lo : lo + t.size] = ends - np.arange(lo, lo + t.size)
+    return counts
 
 
 def _pick_anchor_rows(counts: np.ndarray, cap: int) -> np.ndarray:
@@ -462,7 +540,7 @@ def max_delta_clique_heuristic(
     L[tg.u, tg.v] = tg.labels
     L[tg.v, tg.u] = tg.labels
     slab = np.sort(tg.labels, kind="stable")
-    counts = np.searchsorted(slab, slab + delta, side="right") - np.arange(m)
+    counts = _window_counts(slab, delta)
     anchor_rows = _pick_anchor_rows(counts, cfg.anchors)
     deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
     best: list[int] = []
@@ -470,8 +548,9 @@ def max_delta_clique_heuristic(
     stop = False
     with np.errstate(invalid="ignore"):
         for ai in anchor_rows.tolist():
-            t = slab[ai]
-            W = (L >= t) & (L <= t + delta)
+            # the labels x >= t with x - t <= delta, for t = slab[ai], are
+            # those up to the last label of the anchor's window
+            W = (L >= slab[ai]) & (L <= slab[ai + counts[ai] - 1])
             deg = W.sum(1)
             for _ in range(cfg.restarts):
                 rng = np.random.default_rng(derive_seed(seed, rng_counter))

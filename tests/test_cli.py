@@ -97,6 +97,24 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("g.json", '{"n": 3, "edges": [[0, 1, 0.0], [0, 2, NaN], [1, 2, 1.0]]}'),
+        ("g.json", '{"n": 2, "edges": [[0, 1, Infinity]]}'),
+        ("g.txt", "0 1 0.0\n0 2 nan\n1 2 1.0\n"),
+        ("g.txt", "0 1 inf\n"),
+    ],
+)
+def test_solve_rejects_non_finite_labels(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:") and "finite" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "solve", "--delta", "0.5")[0] == 1
     assert run_cli(capsys, "frobnicate")[0] == 1

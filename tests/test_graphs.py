@@ -104,6 +104,16 @@ def test_labels_out_of_range_rejected():
         TemporalGraph.from_edges(2, [(0, 1, -0.1)])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_labels_rejected(bad):
+    """A NaN label would pass min/max range checks and poison the predicate:
+    the triangle (0.0, NaN, 1.0) would validate at delta = 0.1."""
+    with pytest.raises(ValueError, match="finite"):
+        triangle(0.0, bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        TemporalGraph(2, np.array([0]), np.array([1]), np.array([bad]))
+
+
 def test_from_edges_canonicalizes():
     tg = TemporalGraph.from_edges(3, [(2, 1, 0.75), (1, 0, 0.5)])
     assert tg.edge_list() == [(0, 1, 0.5), (1, 2, 0.75)]

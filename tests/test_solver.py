@@ -5,6 +5,8 @@ The exact solver is checked against subset enumeration on small instances
 Bron-Kerbosch enumeration — an independent implementation family.
 """
 
+from math import comb
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -18,6 +20,7 @@ from tempclique.graphs import (
     generate_random_complete,
     is_delta_clique,
 )
+from tempclique import solver as solver_module
 from tempclique.seeds import derive_seed
 from tempclique.solver import (
     BRUTEFORCE_MAX_N,
@@ -29,6 +32,8 @@ from tempclique.solver import (
     max_delta_clique_heuristic,
     solve_max_delta_clique,
     static_max_clique,
+    _expand,
+    _SearchState,
 )
 
 
@@ -307,3 +312,68 @@ def test_solver_config_validation():
         SolverConfig(time_budget=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+
+
+# --------------------------------------------------- relabeled search witness
+
+
+def id_order_sweep(tg, delta):
+    """The anchored-window sweep with bit positions equal to vertex ids: the
+    reference whose witness `max_delta_clique_exact` must reproduce."""
+    order = np.argsort(tg.labels, kind="stable")
+    su, sv = tg.u[order].tolist(), tg.v[order].tolist()
+    slab = tg.labels[order].tolist()
+    m = len(slab)
+    adj = [0] * tg.n
+    hi = 0
+    state = _SearchState(1, None)
+    state.best = (0,)
+    for a in range(m):
+        while hi < m and slab[hi] - slab[a] <= delta:
+            adj[su[hi]] |= 1 << sv[hi]
+            adj[sv[hi]] |= 1 << su[hi]
+            hi += 1
+        if a > 0:
+            adj[su[a - 1]] &= ~(1 << sv[a - 1])
+            adj[sv[a - 1]] &= ~(1 << su[a - 1])
+        if state.best_size < 2:
+            state.best_size, state.best = 2, (su[a], sv[a])
+        if hi - a < comb(state.best_size + 1, 2):
+            continue
+        cands = adj[su[a]] & adj[sv[a]]
+        if cands.bit_count() + 2 > state.best_size:
+            _expand(adj, cands, [su[a], sv[a]], state)
+    return tuple(sorted(state.best))
+
+
+def test_exact_witness_matches_id_order_sweep(monkeypatch):
+    calls = []
+    window_masks = solver_module._window_masks
+
+    def counting(*args):
+        calls.append(args)
+        return window_masks(*args)
+
+    monkeypatch.setattr(solver_module, "_window_masks", counting)
+    relabeled = 0
+    for n in (20, 40, 80):
+        for d in (0.5, 0.7, 0.9):
+            tg = generate_random_complete(n, derive_seed(2404, n))
+            calls.clear()
+            res = max_delta_clique_exact(tg, d)
+            assert res.optimal
+            assert res.clique.vertices == id_order_sweep(tg, d), (n, d)
+            # at most one call re-derives the witness; the others relabeled
+            relabeled += len(calls) > 1
+    assert relabeled >= 6
+
+
+def test_window_predicate_boundary_triangle():
+    """lo + delta rounds up, so the triangle's width exceeds delta as the
+    checker computes it: every solver must return an edge, none may raise."""
+    lo, d = 0.42221092576252406, 0.303181761176121
+    tg = triangle(lo, lo + d, lo)
+    assert not is_delta_clique(tg, (0, 1, 2), d)
+    assert max_delta_clique_bruteforce(tg, d).size == 2
+    assert max_delta_clique_exact(tg, d).clique.size == 2
+    assert max_delta_clique_heuristic(tg, d, seed=0).clique.size == 2

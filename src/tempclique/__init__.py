@@ -9,7 +9,6 @@ forms, and a CLI wrapping all of it.
 """
 
 from .analytics import (
-    AnalyticQuery,
     expected_clique_count,
     k0_threshold,
     log_expected_clique_count,
@@ -37,12 +36,10 @@ from .graphs import (
     NotADeltaClique,
     StaticGraph,
     TemporalGraph,
-    Window,
     delta_clique_check,
     generate_er,
     generate_random_complete,
     is_delta_clique,
-    window_graph,
 )
 from .io import (
     GraphFormatError,

@@ -11,7 +11,6 @@ combinatorics so compositional identities hold to the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, exp, inf, lgamma, log, log1p
 
 _EXACT_FLOAT_LIMIT = 2**53
@@ -151,36 +150,3 @@ def second_moment_overlap_bound(n: int, k: int, delta: float) -> float:
         )
         total += _exp_clipped(lt)
     return total
-
-
-@dataclass(frozen=True)
-class AnalyticQuery:
-    """A validated bundle of closed-form parameters (used by the CLI layer).
-
-    Any field may be left None; supplied fields are range-checked and the
-    cross constraints k <= n and t <= k are enforced when both sides are set.
-    """
-
-    n: int | None = None
-    k: int | None = None
-    delta: float | None = None
-    h: int | None = None
-    m: int | None = None
-    t: int | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("n", "k", "h", "m", "t"):
-            val = getattr(self, name)
-            if val is not None and (not isinstance(val, int) or val < 0):
-                raise ValueError(f"{name} must be a nonnegative integer")
-        if self.n is not None and self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.delta is not None and not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.n is not None and self.k is not None and self.k > self.n:
-            raise ValueError("k must not exceed n")
-        if self.k is not None and self.t is not None and self.t > self.k:
-            raise ValueError("t must not exceed k")

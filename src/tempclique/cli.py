@@ -14,7 +14,6 @@ import secrets
 import sys
 
 from .analytics import (
-    AnalyticQuery,
     expected_clique_count,
     k0_threshold,
     min_density,
@@ -115,7 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="harness parallelism cap (default: available cores); results do not depend on it",
+        help=(
+            "harness parallelism cap (default: available cores); results do not "
+            "depend on it; window-prob is vectorized and does not use it"
+        ),
     )
     p_ex.add_argument("--outdir", default=".")
     p_ex.add_argument("--format", choices=("json", "csv"), default="json", help="what to print on stdout")
@@ -151,7 +153,7 @@ def _cmd_generate(args) -> int:
 
 def _solver_config(args) -> SolverConfig:
     kwargs = {"mode": args.mode, "time_budget": args.budget_secs}
-    if getattr(args, "restarts", None) is not None:
+    if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     return SolverConfig(**kwargs)
 
@@ -177,12 +179,10 @@ def _cmd_analyze(args) -> int:
     what = args.what
     if what == "window-prob":
         _require(args, ["h", "delta"], what)
-        AnalyticQuery(h=args.h, delta=args.delta)
         value = window_probability(args.h, args.delta)
         params = {"h": args.h, "delta": args.delta}
     elif what == "expected-count":
         _require(args, ["n", "k", "delta"], what)
-        AnalyticQuery(n=args.n, k=args.k, delta=args.delta)
         value = expected_clique_count(args.n, args.k, args.delta)
         params = {"n": args.n, "k": args.k, "delta": args.delta}
     elif what == "k0":
@@ -191,7 +191,6 @@ def _cmd_analyze(args) -> int:
         params = {"n": args.n, "delta": args.delta}
     elif what == "overlap-bound":
         _require(args, ["n", "k", "delta"], what)
-        AnalyticQuery(n=args.n, k=args.k, delta=args.delta)
         value = second_moment_overlap_bound(args.n, args.k, args.delta)
         params = {"n": args.n, "k": args.k, "delta": args.delta}
     else:  # density: joint min/max with --y, min otherwise
@@ -220,16 +219,12 @@ def _cmd_experiment(args) -> int:
     name = args.name
     if name == "window-prob":
         _require(args, ["h", "delta"], name)
-        report = estimate_window_probability(args.h, args.delta, args.trials, seed, threads=args.threads)
+        report = estimate_window_probability(args.h, args.delta, args.trials, seed)
     elif name == "clique-count":
         _require(args, ["n", "k", "delta"], name)
         report = estimate_clique_count(args.n, args.k, args.delta, args.trials, seed, threads=args.threads)
     else:
-        cfg = SolverConfig(
-            mode=args.mode,
-            time_budget=args.budget_secs,
-            **({"restarts": args.restarts} if args.restarts is not None else {}),
-        )
+        cfg = _solver_config(args)
         if name == "threshold":
             if args.ns is None:
                 raise _UsageError("threshold requires --ns")

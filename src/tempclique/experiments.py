@@ -30,7 +30,13 @@ import numpy as np
 from scipy import stats
 
 from .analytics import k0_threshold, window_probability
-from .graphs import StaticGraph, TemporalGraph, generate_er, generate_random_complete
+from .graphs import (
+    StaticGraph,
+    TemporalGraph,
+    _pair_index,
+    generate_er,
+    generate_random_complete,
+)
 from .io import atomic_write_text
 from .seeds import derive_seed, uniform_block
 from .solver import (
@@ -38,6 +44,7 @@ from .solver import (
     SolverConfig,
     greedy_static_clique,
     solve_max_delta_clique,
+    static_max_clique,
 )
 
 EXACT_SWEEP_MAX_N = 300
@@ -107,10 +114,6 @@ class ExperimentReport:
         mean, variance, stderr, count = _aggregate([t["value"] for t in records])
         return cls(name, dict(params), records, mean, variance, stderr, count, extras or {})
 
-    def recompute_aggregate(self) -> tuple[float, float, float, int]:
-        """Re-derive the aggregate from the trial records (validation hook)."""
-        return _aggregate([t["value"] for t in self.trials])
-
     def csv_text(self) -> str:
         """The per-trial records as CSV with a header row."""
         buf = _io.StringIO()
@@ -149,15 +152,12 @@ class ExperimentReport:
         return csv_path, json_path
 
 
-def estimate_window_probability(
-    h: int, delta: float, trials: int, seed: int, threads: int = 1
-) -> ExperimentReport:
+def estimate_window_probability(h: int, delta: float, trials: int, seed: int) -> ExperimentReport:
     """Monte Carlo estimate of P(h uniform labels fit in a width-delta window).
 
     Draws trial i's h uniforms in counter mode from derive_seed(seed, i), so
-    the whole block is computed vectorized yet equals what any threaded
-    per-trial schedule would produce (the threads argument is accepted for
-    interface symmetry and does not affect the records).
+    the whole block is computed vectorized yet equals what any per-trial
+    schedule would produce.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -188,7 +188,7 @@ def _subset_edge_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     ii, jj = zip(*combinations(range(k), 2))
     a = subsets[:, list(ii)]
     b = subsets[:, list(jj)]
-    return subsets, a * (2 * n - a - 1) // 2 + (b - a - 1)
+    return subsets, _pair_index(n, a, b)
 
 
 def estimate_clique_count(
@@ -402,7 +402,7 @@ def build_planted_instance(
     m = iu.size
     mask = np.zeros(m, dtype=bool)
     if base.m:
-        mask[base.u * (2 * n - base.u - 1) // 2 + (base.v - base.u - 1)] = True
+        mask[_pair_index(n, base.u, base.v)] = True
     rng = np.random.default_rng(seed)
     labels = np.empty(m)
     labels[mask] = rng.random(int(mask.sum())) * planted_hi
@@ -424,7 +424,9 @@ def reduction_experiment(
     Per trial: draw a G(n, delta) base, plant it with mode="half", solve the
     temporal instance at delta/2, and record whether the witness is a clique
     of the base graph, whether its interval sits inside the planted window,
-    and how it compares to a greedy static clique of the base.
+    the base graph's clique number (which the reduction guarantees an exact
+    witness reaches), and how the witness compares to a greedy static clique
+    of the base.
     """
     cfg = cfg or SolverConfig()
     if trials < 1:
@@ -452,6 +454,7 @@ def reduction_experiment(
             "value": res.clique.size,
             "base_clique": in_base,
             "in_planted_window": in_window,
+            "base_omega": len(static_max_clique(base)),
             "greedy_size": greedy_size,
             "beats_greedy": res.clique.size >= greedy_size,
             "optimal": res.optimal,

@@ -116,16 +116,6 @@ class TemporalGraph:
             for a, b, t in zip(self.u, self.v, self.labels)
         }
 
-    def label_of(self, a: int, b: int) -> float:
-        """The label of edge {a, b}; raises KeyError when absent."""
-        if a > b:
-            a, b = b, a
-        if self.is_complete:
-            if not (0 <= a < b < self.n):
-                raise KeyError((a, b))
-            return float(self.labels[_pair_index(self.n, a, b)])
-        return self._label_map[(a, b)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
             return NotImplemented
@@ -137,8 +127,9 @@ class TemporalGraph:
         )
 
 
-def _pair_index(n: int, a: int, b: int) -> int:
-    """Row-major index of canonical pair (a, b), a < b, in the complete edge order."""
+def _pair_index(n: int, a, b):
+    """Row-major index of canonical pairs (a, b), a < b, in the complete edge
+    order; a and b may be ints or integer arrays of one shape."""
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
 
 
@@ -192,9 +183,6 @@ class StaticGraph:
             return False
         return bool(self.adjacency_masks[a] >> b & 1)
 
-    def degree(self, a: int) -> int:
-        return self.adjacency_masks[a].bit_count()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StaticGraph):
             return NotImplemented
@@ -203,27 +191,6 @@ class StaticGraph:
             and np.array_equal(self.u, other.u)
             and np.array_equal(self.v, other.v)
         )
-
-
-@dataclass(frozen=True)
-class Window:
-    """A closed label window [start, start + width]."""
-
-    start: float
-    width: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.start <= 1.0:
-            raise ValueError("window start must lie in [0, 1]")
-        if self.width < 0.0:
-            raise ValueError("window width must be nonnegative")
-
-    @property
-    def end(self) -> float:
-        return self.start + self.width
-
-    def contains(self, label: float) -> bool:
-        return self.start <= label <= self.end
 
 
 @dataclass(frozen=True)
@@ -274,12 +241,6 @@ def generate_er(n: int, p: float, seed: int) -> StaticGraph:
     return StaticGraph(n, iu[keep].astype(np.int64), iv[keep].astype(np.int64))
 
 
-def window_graph(tg: TemporalGraph, window: Window) -> StaticGraph:
-    """The static graph of edges whose labels fall in the closed window."""
-    keep = (tg.labels >= window.start) & (tg.labels <= window.end)
-    return StaticGraph(tg.n, tg.u[keep], tg.v[keep])
-
-
 def _clique_labels(tg: TemporalGraph, verts: Sequence[int]) -> np.ndarray:
     """Labels of all internal edges of `verts`; raises MissingEdge if incomplete."""
     k = len(verts)
@@ -288,10 +249,7 @@ def _clique_labels(tg: TemporalGraph, verts: Sequence[int]) -> np.ndarray:
         b = np.concatenate(
             [np.asarray(verts[i + 1 :], dtype=np.int64) for i in range(k)]
         ) if k > 1 else np.empty(0, np.int64)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        idx = lo * (2 * tg.n - lo - 1) // 2 + (hi - lo - 1)
-        return tg.labels[idx]
+        return tg.labels[_pair_index(tg.n, np.minimum(a, b), np.maximum(a, b))]
     lm = tg._label_map
     out = np.empty(k * (k - 1) // 2)
     pos = 0

@@ -32,6 +32,15 @@ def dumps_temporal_graph(tg: TemporalGraph, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _from_edges(n: int, triples: list, where: str) -> TemporalGraph:
+    try:
+        return TemporalGraph.from_edges(n, triples)
+    except OverflowError:
+        raise GraphFormatError(f"{where}: n and vertex ids must fit in 64-bit integers") from None
+    except ValueError as exc:
+        raise GraphFormatError(f"{where}: {exc}") from None
+
+
 def _parse_json(text: str) -> TemporalGraph:
     try:
         doc = json.loads(text)
@@ -57,13 +66,14 @@ def _parse_json(text: str) -> TemporalGraph:
         ):
             raise GraphFormatError(f"edges[{i}] must be a [u, v, label] triple of numbers")
         a, b, t = entry
-        if a != int(a) or b != int(b):
+        try:
+            integral = a == int(a) and b == int(b)
+        except (OverflowError, ValueError):  # infinite or NaN endpoints
+            integral = False
+        if not integral:
             raise GraphFormatError(f"edges[{i}]: endpoints must be integers")
         triples.append((int(a), int(b), float(t)))
-    try:
-        return TemporalGraph.from_edges(n, triples)
-    except ValueError as exc:
-        raise GraphFormatError(f"field 'edges': {exc}") from None
+    return _from_edges(n, triples, "field 'edges'")
 
 
 def _parse_text(text: str) -> TemporalGraph:
@@ -84,10 +94,7 @@ def _parse_text(text: str) -> TemporalGraph:
     if not triples:
         raise GraphFormatError("no edges found in text input")
     n = max(max(a, b) for a, b, _ in triples) + 1
-    try:
-        return TemporalGraph.from_edges(n, triples)
-    except ValueError as exc:
-        raise GraphFormatError(f"edge list: {exc}") from None
+    return _from_edges(n, triples, "edge list")
 
 
 def loads_temporal_graph(text: str) -> TemporalGraph:

@@ -40,6 +40,15 @@ from .seeds import derive_seed
 
 BRUTEFORCE_MAX_N = 20
 
+# Heuristic search effort: anchored windows searched, local-search rounds and
+# plateau moves per restart, and the size of the pool each greedy step picks
+# from.  Tuned on complete instances with n = 1000, delta = 0.5 (they reliably
+# reach size >= 12 there); smaller instances are insensitive to them.
+_ANCHORS = 24
+_IMPROVE_ROUNDS = 120
+_PLATEAU_MOVES = 30
+_GREEDY_POOL = 3
+
 _VALID_MODES = ("bruteforce", "exact", "heuristic")
 
 
@@ -49,30 +58,20 @@ class InfeasibleConfigError(ValueError):
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by the solve entry points.
-
-    The heuristic defaults were tuned on complete instances with n = 1000,
-    delta = 0.5 (they reliably reach size >= 12 there); smaller instances
-    are insensitive to them.
-    """
+    """Knobs shared by the solve entry points; restarts is the heuristic's
+    number of greedy restarts per anchored window."""
 
     mode: str = "exact"
     time_budget: float | None = None
     restarts: int = 8
-    anchors: int = 24
-    improve_rounds: int = 120
-    plateau_moves: int = 30
-    greedy_pool: int = 3
-    allow_oversize_bruteforce: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in _VALID_MODES:
             raise ValueError(f"mode must be one of {_VALID_MODES}")
         if self.time_budget is not None and self.time_budget < 0:
             raise ValueError("time_budget must be nonnegative")
-        for name in ("restarts", "anchors", "improve_rounds", "plateau_moves", "greedy_pool"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -145,31 +144,6 @@ def _expand(adj: list[int], P: int, rstack: list[int], state: _SearchState) -> N
             return
 
 
-def _peel_degeneracy(adj: list[int], n: int) -> int:
-    """Graph degeneracy by repeated min-degree peeling (quadratic, small n)."""
-    alive = (1 << n) - 1
-    deg = [adj[v].bit_count() for v in range(n)]
-    best = 0
-    for _ in range(n):
-        vmin, dmin = -1, n + 1
-        Q = alive
-        while Q:
-            b = Q & -Q
-            w = b.bit_length() - 1
-            Q ^= b
-            if deg[w] < dmin:
-                vmin, dmin = w, deg[w]
-        best = max(best, dmin)
-        alive ^= 1 << vmin
-        Q = adj[vmin] & alive
-        while Q:
-            b = Q & -Q
-            w = b.bit_length() - 1
-            Q ^= b
-            deg[w] -= 1
-    return best
-
-
 def greedy_static_clique(g: StaticGraph) -> tuple[int, ...]:
     """Deterministic greedy clique: repeatedly take the candidate of maximum
     degree within the remaining candidate set (smallest id on ties)."""
@@ -191,30 +165,14 @@ def greedy_static_clique(g: StaticGraph) -> tuple[int, ...]:
     return tuple(sorted(clique))
 
 
-def static_max_clique(
-    g: StaticGraph, lower_bound: int = 0, time_budget: float | None = None
-) -> tuple[tuple[int, ...], bool]:
-    """Exact maximum clique of a static graph (branch and bound with coloring).
-
-    Returns (vertices, optimal).  With a nonzero `lower_bound` the search only
-    reports cliques strictly larger than the bound and returns () when none
-    exists; `optimal` is False only when the time budget truncated the search.
-    """
-    if g.n == 0:
-        return (), True
-    adj = g.adjacency_masks
-    deadline = time.perf_counter() + time_budget if time_budget is not None else None
-    if lower_bound > 0 and _peel_degeneracy(adj, g.n) + 1 <= lower_bound:
-        return (), True
-    state = _SearchState(lower_bound, deadline)
-    seed_clique = greedy_static_clique(g)
-    if len(seed_clique) > state.best_size:
-        state.best_size = len(seed_clique)
-        state.best = seed_clique
-    _expand(adj, (1 << g.n) - 1, [], state)
-    if state.best is None:
-        return (), not state.timed_out
-    return tuple(sorted(state.best)), not state.timed_out
+def static_max_clique(g: StaticGraph) -> tuple[int, ...]:
+    """Sorted vertices of a maximum clique of a static graph (branch and bound
+    with coloring, seeded with the greedy clique)."""
+    state = _SearchState(0, None)
+    state.best = greedy_static_clique(g)
+    state.best_size = len(state.best)
+    _expand(g.adjacency_masks, (1 << g.n) - 1, [], state)
+    return tuple(sorted(state.best))
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
@@ -226,16 +184,13 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def max_delta_clique_bruteforce(
-    tg: TemporalGraph, delta: float, config: SolverConfig | None = None
-) -> CliqueResult:
+def max_delta_clique_bruteforce(tg: TemporalGraph, delta: float) -> CliqueResult:
     """Reference solver: enumerate all vertex subsets.
 
     Ties on size break to the lexicographically smallest sorted vertex tuple.
-    Refuses n > 20 unless config.allow_oversize_bruteforce is set.
+    Refuses n > 20.
     """
-    cfg = config or SolverConfig(mode="bruteforce")
-    if tg.n > BRUTEFORCE_MAX_N and not cfg.allow_oversize_bruteforce:
+    if tg.n > BRUTEFORCE_MAX_N:
         raise InfeasibleConfigError(
             f"bruteforce subset enumeration refuses n={tg.n} > {BRUTEFORCE_MAX_N}"
         )
@@ -438,9 +393,7 @@ def _pick_anchor_rows(counts: np.ndarray, cap: int) -> np.ndarray:
     return np.unique(np.array(picks, dtype=np.int64))
 
 
-def _greedy_in_window(
-    W: np.ndarray, deg: np.ndarray, rng: np.random.Generator, pool_size: int
-) -> list[int]:
+def _greedy_in_window(W: np.ndarray, deg: np.ndarray, rng: np.random.Generator) -> list[int]:
     n = deg.size
     start = int(rng.integers(n))
     clique = [start]
@@ -453,7 +406,7 @@ def _greedy_in_window(
             score = W[np.ix_(idxs, idxs)].sum(1)
         else:
             score = deg[idxs]
-        p = min(pool_size, idxs.size)
+        p = min(_GREEDY_POOL, idxs.size)
         cutoff = np.partition(score, idxs.size - p)[idxs.size - p]
         pool = idxs[score >= cutoff]
         v = int(pool[rng.integers(pool.size)])
@@ -466,15 +419,14 @@ def _local_improve(
     deg: np.ndarray,
     clique: list[int],
     rng: np.random.Generator,
-    cfg: SolverConfig,
 ) -> list[int]:
     """Add-moves, (1,2)-swaps, and bounded plateau (1,1)-swaps on the window graph."""
     n = deg.size
     in_c = np.zeros(n, dtype=bool)
     in_c[clique] = True
     cnt = W[clique].sum(0)
-    plateau_left = cfg.plateau_moves
-    for _ in range(cfg.improve_rounds):
+    plateau_left = _PLATEAU_MOVES
+    for _ in range(_IMPROVE_ROUNDS):
         k = len(clique)
         addable = np.flatnonzero(~in_c & (cnt == k))
         if addable.size:
@@ -541,7 +493,7 @@ def max_delta_clique_heuristic(
     L[tg.v, tg.u] = tg.labels
     slab = np.sort(tg.labels, kind="stable")
     counts = _window_counts(slab, delta)
-    anchor_rows = _pick_anchor_rows(counts, cfg.anchors)
+    anchor_rows = _pick_anchor_rows(counts, _ANCHORS)
     deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
     best: list[int] = []
     rng_counter = 0
@@ -555,8 +507,8 @@ def max_delta_clique_heuristic(
             for _ in range(cfg.restarts):
                 rng = np.random.default_rng(derive_seed(seed, rng_counter))
                 rng_counter += 1
-                c = _greedy_in_window(W, deg, rng, cfg.greedy_pool)
-                c = _local_improve(W, deg, c, rng, cfg)
+                c = _greedy_in_window(W, deg, rng)
+                c = _local_improve(W, deg, c, rng)
                 if len(c) > len(best):
                     best = c
                 if deadline is not None and time.perf_counter() > deadline:
@@ -577,7 +529,7 @@ def solve_max_delta_clique(
     cfg = config or SolverConfig()
     if cfg.mode == "bruteforce":
         t_start = time.perf_counter()
-        witness = max_delta_clique_bruteforce(tg, delta, cfg)
+        witness = max_delta_clique_bruteforce(tg, delta)
         return SolveResult(witness, True, "bruteforce", time.perf_counter() - t_start)
     if cfg.mode == "exact":
         return max_delta_clique_exact(tg, delta, cfg)

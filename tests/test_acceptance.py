@@ -18,11 +18,13 @@ Covered:
   5. optimum interval width / delta: all ratios <= 1, median >= 0.9
      (band frozen after a 3-seed calibration; details in README)
   6. planted-instance reduction recovers base-graph cliques inside the
-     low window and beats a greedy static clique in >= 18/20 trials
+     low window, every one at least as large as the base graph's clique
+     number, and beats a greedy static clique in >= 18/20 trials
   7. analytic invariants: density quadrature, compositional identity,
      big-rational oracle to 10 significant digits, monotonicity grids
   8. byte-identical CSV records for the criterion 1-6 runs under thread
-     counts {1, 4, cpu_count}
+     counts {1, 4, cpu_count} (the vectorized window-probability estimator
+     takes no thread count, so its runs are repeated once per count)
 """
 
 import hashlib
@@ -92,12 +94,14 @@ def _digest(text: str) -> str:
 
 
 def _window_prob_digests(threads: int) -> dict:
+    # the estimator is vectorized and takes no thread count; each count still
+    # gets its own run, so criterion 8 checks that repeated runs are identical
     key = ("window_prob", threads)
     if key not in _CACHE:
         out = {}
         for idx, (h, d) in enumerate(WINDOW_GRID):
             rpt = estimate_window_probability(
-                h, d, trials=10**5, seed=derive_seed(MASTER_SEED, idx), threads=threads
+                h, d, trials=10**5, seed=derive_seed(MASTER_SEED, idx)
             )
             out[(h, d)] = _digest(rpt.csv_text())
             if threads == 1:
@@ -265,12 +269,15 @@ def test_criterion_6_reduction_recovers_planted_cliques():
     rpt = _reduction_report(1)
     not_base = [t for t in rpt.trials if not t["base_clique"]]
     not_window = [t for t in rpt.trials if not t["in_planted_window"]]
+    below_omega = [t for t in rpt.trials if t["value"] < t["base_omega"]]
     beats = sum(t["beats_greedy"] for t in rpt.trials)
-    ok = not not_base and not not_window and beats >= 18
+    ok = not not_base and not not_window and not below_omega and beats >= 18
     _verdict(6, "planted reduction", ok,
-             f"20/20 base cliques in window, {beats}/20 beat greedy")
+             f"20/20 base cliques in window of size >= base omega, "
+             f"{beats}/20 beat greedy")
     assert not not_base, f"witness not a base-graph clique: {not_base}"
     assert not not_window, f"interval outside planted window: {not_window}"
+    assert not below_omega, f"witness below the base clique number: {below_omega}"
     assert beats >= 18, f"only {beats}/20 beat the greedy clique"
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from tempclique.analytics import (
-    AnalyticQuery,
     expected_clique_count,
     k0_threshold,
     log_choose,
@@ -311,20 +310,6 @@ def test_log_choose_matches_exact():
         for k in (0, 1, n // 2, n):
             assert log_choose(n, k) == pytest.approx(log(comb(n, k)), rel=1e-12, abs=1e-12)
     assert log_choose(5, 9) == float("-inf")
-
-
-def test_analytic_query_validation():
-    AnalyticQuery(n=10, k=3, delta=0.5)
-    with pytest.raises(ValueError):
-        AnalyticQuery(n=10, k=11)
-    with pytest.raises(ValueError):
-        AnalyticQuery(k=3, t=4)
-    with pytest.raises(ValueError):
-        AnalyticQuery(delta=1.5)
-    with pytest.raises(ValueError):
-        AnalyticQuery(epsilon=0.0)
-    with pytest.raises(ValueError):
-        AnalyticQuery(h=-1)
 
 
 @given(

@@ -115,6 +115,25 @@ def test_solve_rejects_non_finite_labels(tmp_path, capsys, name, text):
     assert err.startswith("input error:") and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("g.json", '{"n": 3, "edges": [[Infinity, 1, 0.5]]}'),
+        ("g.json", '{"n": 3, "edges": [[1e300, 1, 0.5]]}'),
+        ("g.txt", "0 99999999999999999999 0.5\n"),
+        ("g.json", '{"n": 99999999999999999999, "edges": [[0, 1, 0.5]]}'),
+    ],
+)
+def test_solve_rejects_overflowing_vertex_ids(tmp_path, capsys, name, text):
+    """Ids or n beyond 64-bit range are input errors, not tracebacks."""
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "solve", "--delta", "0.5")[0] == 1
     assert run_cli(capsys, "frobnicate")[0] == 1
@@ -148,6 +167,22 @@ def test_analyze_overlap_bound(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--what", "overlap-bound", "--n", "10", "--k", "2", "--delta", "0.3")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(32 / 63, rel=1e-12)
+
+
+def test_analyze_rejects_out_of_range_parameters(capsys):
+    """The closed forms validate their own parameters; the CLI reports them."""
+    for argv in (
+        ("--what", "expected-count", "--n", "10", "--k", "11", "--delta", "0.5"),
+        ("--what", "expected-count", "--n", "10", "--k", "-1", "--delta", "0.5"),
+        ("--what", "expected-count", "--n", "10", "--k", "3", "--delta", "1.5"),
+        ("--what", "overlap-bound", "--n", "10", "--k", "11", "--delta", "0.5"),
+        ("--what", "window-prob", "--h", "-1", "--delta", "0.5"),
+        ("--what", "window-prob", "--h", "2", "--delta", "1.5"),
+    ):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_analyze_out_of_range_is_usage_error(capsys):

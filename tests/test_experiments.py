@@ -35,13 +35,11 @@ def test_run_indexed_orders_results():
 def test_report_aggregates_are_recomputable():
     trials = [{"trial": i, "seed": i, "value": float(i)} for i in range(10)]
     rep = ExperimentReport.from_trials("demo", {"seed": 0}, trials)
-    mean, var, se, count = rep.recompute_aggregate()
-    assert count == 10
-    assert abs(mean - rep.mean) < 1e-12
-    assert abs(var - rep.variance) < 1e-12
-    assert abs(se - rep.stderr) < 1e-12
-    # against numpy's ddof=1 variance
-    assert rep.variance == pytest.approx(np.var(range(10), ddof=1), rel=1e-12)
+    values = [t["value"] for t in rep.trials]
+    assert rep.count == 10
+    assert rep.mean == pytest.approx(np.mean(values), rel=1e-12)
+    assert rep.variance == pytest.approx(np.var(values, ddof=1), rel=1e-12)
+    assert rep.stderr == pytest.approx(math.sqrt(rep.variance / 10), rel=1e-12)
 
 
 def test_report_single_trial_has_zero_variance():
@@ -92,13 +90,6 @@ def test_window_prob_trial_records_are_seeded():
     assert [t["trial"] for t in rep.trials] == list(range(200))
     assert rep.trials[5]["seed"] == derive_seed(9, 5)
     assert set(t["value"] for t in rep.trials) <= {0, 1}
-
-
-def test_window_prob_threads_do_not_change_records():
-    a = estimate_window_probability(4, 0.3, 500, seed=2, threads=1)
-    b = estimate_window_probability(4, 0.3, 500, seed=2, threads=4)
-    assert a.trials == b.trials
-    assert a.csv_text() == b.csv_text()
 
 
 def test_window_prob_validates():
@@ -294,6 +285,7 @@ def test_reduction_experiment_small_run():
         assert t["base_clique"] == 1
         assert t["in_planted_window"] == 1
         assert t["value"] >= 2
+        assert t["value"] >= t["base_omega"] >= t["greedy_size"]
         assert t["beats_greedy"] in (0, 1)
 
 

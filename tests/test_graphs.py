@@ -1,4 +1,4 @@
-"""Graph types, generators, windows, and the delta-clique predicate."""
+"""Graph types, generators, and the delta-clique predicate."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,10 @@ from tempclique.graphs import (
     MissingEdge,
     StaticGraph,
     TemporalGraph,
-    Window,
     delta_clique_check,
     generate_er,
     generate_random_complete,
     is_delta_clique,
-    window_graph,
 )
 from tempclique.seeds import derive_seed
 
@@ -119,17 +117,6 @@ def test_from_edges_canonicalizes():
     assert tg.edge_list() == [(0, 1, 0.5), (1, 2, 0.75)]
 
 
-def test_label_of_complete_and_sparse():
-    tg = generate_random_complete(6, 11)
-    for a, b, t in tg.edge_list():
-        assert tg.label_of(a, b) == t
-        assert tg.label_of(b, a) == t
-    sparse = TemporalGraph.from_edges(4, [(0, 3, 0.25)])
-    assert sparse.label_of(3, 0) == 0.25
-    with pytest.raises(KeyError):
-        sparse.label_of(0, 1)
-
-
 def test_arrays_are_immutable():
     tg = generate_random_complete(4, 1)
     with pytest.raises(ValueError):
@@ -141,17 +128,8 @@ def test_static_graph_adjacency():
     assert g.has_edge(1, 0) and g.has_edge(3, 2) and g.has_edge(0, 3)
     assert not g.has_edge(1, 2)
     assert not g.has_edge(0, 0)
-    assert g.degree(0) == 2 and g.degree(2) == 1
-
-
-def test_window_validation():
-    with pytest.raises(ValueError):
-        Window(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        Window(0.5, -0.1)
-    w = Window(0.9, 0.5)
-    assert w.end == 1.4
-    assert w.contains(0.9) and w.contains(1.2) and not w.contains(0.89)
+    masks = g.adjacency_masks
+    assert masks[0].bit_count() == 2 and masks[2].bit_count() == 1
 
 
 def test_clique_result_validation():
@@ -161,31 +139,6 @@ def test_clique_result_validation():
         CliqueResult((0, 1), 2, 0.6, 0.5)
     r = CliqueResult((0, 1), 2, 0.25, 0.5)
     assert r.width == 0.25
-
-
-# ------------------------------------------------------------------ windows
-
-
-def test_full_window_keeps_all_edges():
-    tg = generate_random_complete(10, 3)
-    g = window_graph(tg, Window(0.0, 1.0))
-    assert g.m == tg.m
-
-
-def test_window_boundaries_are_closed():
-    tg = triangle(0.1, 0.15, 0.9)
-    g = window_graph(tg, Window(0.1, 0.05))
-    assert g.edge_list() == [(0, 1), (0, 2)]
-    assert window_graph(tg, Window(0.9, 0.0)).edge_list() == [(1, 2)]
-
-
-def test_window_monotone_in_width():
-    tg = generate_random_complete(20, 8)
-    prev = set()
-    for width in (0.0, 0.1, 0.3, 0.7, 1.0):
-        edges = set(window_graph(tg, Window(0.2, width)).edge_list())
-        assert prev <= edges
-        prev = edges
 
 
 # ---------------------------------------------------------------- predicate
@@ -263,7 +216,10 @@ def test_window_subgraph_cliques_are_delta_cliques(n, seed):
     delta = 0.3
     tg = generate_random_complete(n, seed)
     for start in (0.0, 0.25, 0.6):
-        g = window_graph(tg, Window(start, delta))
+        # the window graph under the checker's predicate: labels x >= start
+        # with x - start <= delta
+        keep = (tg.labels >= start) & (tg.labels - start <= delta)
+        g = StaticGraph(n, tg.u[keep], tg.v[keep])
         masks = g.adjacency_masks
         for a, b in g.edge_list():
             common = masks[a] & masks[b]
@@ -272,3 +228,20 @@ def test_window_subgraph_cliques_are_delta_cliques(n, seed):
                 c = bit.bit_length() - 1
                 common ^= bit
                 assert is_delta_clique(tg, (a, b, c), delta)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        ),
+        min_size=3,
+        max_size=3,
+    ).filter(lambda labels: not all(np.isfinite(labels)))
+)
+@settings(deadline=None, max_examples=60)
+def test_non_finite_label_arrays_are_rejected(labels):
+    """Any NaN or infinite label fails construction, wherever it sits."""
+    with pytest.raises(ValueError, match="finite"):
+        TemporalGraph(3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array(labels))

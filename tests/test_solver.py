@@ -91,9 +91,6 @@ def test_bruteforce_size_guard():
     tg = generate_random_complete(BRUTEFORCE_MAX_N + 1, 0)
     with pytest.raises(InfeasibleConfigError):
         max_delta_clique_bruteforce(tg, 0.5)
-    cfg = SolverConfig(mode="bruteforce", allow_oversize_bruteforce=True)
-    res = max_delta_clique_bruteforce(generate_random_complete(21, 0), 0.0, cfg)
-    assert res.size == 2
 
 
 def test_bruteforce_rejects_bad_delta():
@@ -106,19 +103,9 @@ def test_bruteforce_rejects_bad_delta():
 
 def test_static_max_clique_complete_and_cycle():
     k5 = StaticGraph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    verts, opt = static_max_clique(k5)
-    assert len(verts) == 5 and opt
+    assert static_max_clique(k5) == (0, 1, 2, 3, 4)
     c5 = StaticGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    verts, opt = static_max_clique(c5)
-    assert len(verts) == 2 and opt
-
-
-def test_static_max_clique_lower_bound_prunes():
-    c5 = StaticGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    verts, opt = static_max_clique(c5, lower_bound=2)
-    assert verts == () and opt
-    verts, opt = static_max_clique(c5, lower_bound=1)
-    assert len(verts) == 2
+    assert len(static_max_clique(c5)) == 2
 
 
 def test_static_max_clique_matches_bron_kerbosch():
@@ -129,8 +116,7 @@ def test_static_max_clique_matches_bron_kerbosch():
         gx.add_nodes_from(range(g.n))
         gx.add_edges_from(g.edge_list())
         want = max(len(c) for c in nx.find_cliques(gx))
-        verts, opt = static_max_clique(g)
-        assert opt
+        verts = static_max_clique(g)
         assert len(verts) == want
         # witness must actually be a clique
         assert all(g.has_edge(a, b) for i2, a in enumerate(verts) for b in verts[i2 + 1 :])
@@ -141,7 +127,7 @@ def test_greedy_static_clique_is_valid():
         g = generate_er(40, 0.4, derive_seed(77, i))
         verts = greedy_static_clique(g)
         assert all(g.has_edge(a, b) for i2, a in enumerate(verts) for b in verts[i2 + 1 :])
-        exact_verts, _ = static_max_clique(g)
+        exact_verts = static_max_clique(g)
         assert len(verts) <= len(exact_verts)
 
 
@@ -377,3 +363,30 @@ def test_window_predicate_boundary_triangle():
     assert max_delta_clique_bruteforce(tg, d).size == 2
     assert max_delta_clique_exact(tg, d).clique.size == 2
     assert max_delta_clique_heuristic(tg, d, seed=0).clique.size == 2
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=80)
+def test_boundary_labels_property(data):
+    """Labels at lo, at lo + delta and one ulp either side of lo + delta:
+    exact and heuristic never raise, and exact equals bruteforce."""
+    n = data.draw(st.integers(min_value=2, max_value=7))
+    d = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    lo = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    hi = lo + d
+    choices = [
+        x
+        for x in (lo, hi, float(np.nextafter(hi, -np.inf)), float(np.nextafter(hi, np.inf)))
+        if 0.0 <= x <= 1.0
+    ]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    labels = data.draw(
+        st.lists(st.sampled_from(choices), min_size=len(pairs), max_size=len(pairs))
+    )
+    tg = TemporalGraph.from_edges(
+        n, [(a, b, t) for (a, b), k, t in zip(pairs, keep, labels) if k]
+    )
+    exact = max_delta_clique_exact(tg, d)
+    max_delta_clique_heuristic(tg, d, seed=0)
+    assert exact.clique.size == max_delta_clique_bruteforce(tg, d).size

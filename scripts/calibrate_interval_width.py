@@ -22,7 +22,6 @@ def main() -> None:
     ap.add_argument("--delta", type=float, default=0.3)
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--seeds", default="101,202,303")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     cfg = SolverConfig(mode="exact")
@@ -30,9 +29,7 @@ def main() -> None:
     print(f"{'seed':>6} {'median':>8} {'min':>8} {'max':>8}")
     medians = []
     for seed in (int(tok) for tok in args.seeds.split(",")):
-        rpt = interval_width_experiment(
-            args.n, args.delta, args.trials, cfg, seed=seed, threads=args.threads
-        )
+        rpt = interval_width_experiment(args.n, args.delta, args.trials, cfg, seed=seed)
         ratios = [t["value"] for t in rpt.trials]
         medians.append(rpt.extras["median_ratio"])
         print(

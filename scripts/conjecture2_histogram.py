@@ -22,13 +22,11 @@ def main() -> None:
     ap.add_argument("--delta", type=float, default=0.4)
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--seed", type=int, default=1729)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--outdir", default=None)
     args = ap.parse_args()
 
     rpt = conjecture2_probe(
-        args.n, args.delta, args.trials, SolverConfig(mode="exact"),
-        seed=args.seed, threads=args.threads,
+        args.n, args.delta, args.trials, SolverConfig(mode="exact"), seed=args.seed
     )
 
     counts = rpt.extras["histogram_counts"]
@@ -39,9 +37,10 @@ def main() -> None:
     for lo, hi, c in zip(edges, edges[1:], counts):
         bar = "#" * round(40 * c / peak)
         print(f"  [{lo:.2f}, {hi:.2f}) {c:>5} {bar}")
+    ks = rpt.extras["ks_statistic"]  # None when no trial had a normalized endpoint
+    ks_text = "n/a" if ks is None else f"{ks:.4f}"
     print(
-        f"KS statistic of normalized left endpoints vs uniform[0,1]: "
-        f"{rpt.extras['ks_statistic']:.4f} "
+        f"KS statistic of normalized left endpoints vs uniform[0,1]: {ks_text} "
         f"({rpt.extras['normalized_count']} in-window trials)"
     )
 

@@ -21,16 +21,13 @@ def main() -> None:
     ap.add_argument("--delta", type=float, default=0.3)
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--seed", type=int, default=1729)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     ap.add_argument("--outdir", default=None)
     args = ap.parse_args()
 
     ns = [int(tok) for tok in args.ns.split(",")]
     cfg = SolverConfig(mode=args.mode)
-    rpt = threshold_sweep(
-        ns, args.delta, args.trials, cfg, seed=args.seed, threads=args.threads
-    )
+    rpt = threshold_sweep(ns, args.delta, args.trials, cfg, seed=args.seed)
 
     print(f"delta = {args.delta}, {args.trials} trials per n, mode = {args.mode}, seed = {args.seed}")
     print(f"{'n':>6} {'k0':>8} {'median w':>9} {'w/k0':>7} {'in band':>8}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
 
@@ -114,10 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=(
-            "harness parallelism cap (default: available cores); results do not "
-            "depend on it; window-prob is vectorized and does not use it"
-        ),
+        help="ignored: trials run one at a time; accepted so older command lines still parse",
     )
     p_ex.add_argument("--outdir", default=".")
     p_ex.add_argument("--format", choices=("json", "csv"), default="json", help="what to print on stdout")
@@ -214,15 +210,13 @@ def _parse_ns(text: str) -> list[int]:
 
 def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
     name = args.name
     if name == "window-prob":
         _require(args, ["h", "delta"], name)
         report = estimate_window_probability(args.h, args.delta, args.trials, seed)
     elif name == "clique-count":
         _require(args, ["n", "k", "delta"], name)
-        report = estimate_clique_count(args.n, args.k, args.delta, args.trials, seed, threads=args.threads)
+        report = estimate_clique_count(args.n, args.k, args.delta, args.trials, seed)
     else:
         cfg = _solver_config(args)
         if name == "threshold":
@@ -236,18 +230,17 @@ def _cmd_experiment(args) -> int:
                 args.trials,
                 cfg,
                 seed,
-                threads=args.threads,
                 delta_scaling=args.delta_scaling,
             )
         elif name == "interval-width":
             _require(args, ["n", "delta"], name)
-            report = interval_width_experiment(args.n, args.delta, args.trials, cfg, seed, threads=args.threads)
+            report = interval_width_experiment(args.n, args.delta, args.trials, cfg, seed)
         elif name == "reduction":
             _require(args, ["n", "delta"], name)
-            report = reduction_experiment(args.n, args.delta, args.trials, cfg, seed, threads=args.threads)
+            report = reduction_experiment(args.n, args.delta, args.trials, cfg, seed)
         else:  # conjecture2
             _require(args, ["n", "delta"], name)
-            report = conjecture2_probe(args.n, args.delta, args.trials, cfg, seed, threads=args.threads)
+            report = conjecture2_probe(args.n, args.delta, args.trials, cfg, seed)
     csv_path, json_path = report.write(args.outdir)
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     if args.format == "csv":

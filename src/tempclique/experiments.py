@@ -2,8 +2,8 @@
 
 Every experiment takes one master seed and derives per-trial sub-seeds with
 `derive_seed`, so trial i's record is a pure function of (parameters, master
-seed, i) and runs are byte-identical no matter how many worker threads are
-used.  Each run produces an ExperimentReport: per-trial records (always
+seed, i) and repeated runs are byte-identical.  Trials run one at a time, in
+index order.  Each run produces an ExperimentReport: per-trial records (always
 including the trial seed and a "value" column) plus mean / sample variance /
 standard error aggregates that can be recomputed from the records.  Reports
 serialize to a per-trial CSV and a JSON aggregate named
@@ -20,7 +20,6 @@ import hashlib
 import io as _io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil, comb, floor
@@ -52,16 +51,13 @@ CLIQUE_COUNT_MAX_SUBSETS = 10**6
 _SUBSET_CHUNK = 100_000
 
 
-def run_indexed(count: int, fn, threads: int = 1) -> list:
-    """Evaluate fn(0..count-1), returning results in index order.
+def run_indexed(count: int, fn) -> list:
+    """Evaluate fn(0..count-1) in order, returning the results as a list.
 
-    fn must be a pure function of its index; with that contract the output
-    is identical for any thread count or schedule.
+    fn must be a pure function of its index, so a trial's record is a pure
+    function of (params, seed, i).
     """
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    return [fn(i) for i in range(count)]
 
 
 def _clean_record(rec: dict) -> dict:
@@ -134,7 +130,7 @@ class ExperimentReport:
             "stderr": self.stderr,
             "extras": self.extras,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def file_stem(self) -> str:
         digest = hashlib.sha1(
@@ -192,7 +188,7 @@ def _subset_edge_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_clique_count(
-    n: int, k: int, delta: float, trials: int, seed: int, threads: int = 1
+    n: int, k: int, delta: float, trials: int, seed: int
 ) -> ExperimentReport:
     """Monte Carlo mean of the number of delta-temporal k-cliques in K_n.
 
@@ -225,7 +221,7 @@ def estimate_clique_count(
                 count += int((sub.max(axis=1) - sub.min(axis=1) <= delta).sum())
         return {"trial": i, "seed": s, "value": count}
 
-    records = run_indexed(trials, one_trial, threads)
+    records = run_indexed(trials, one_trial)
     params = {"n": n, "k": k, "delta": delta, "trials": trials, "seed": seed}
     extras = {"subsets": n_subsets}
     return ExperimentReport.from_trials("clique_count", params, records, extras)
@@ -257,7 +253,6 @@ def threshold_sweep(
     trials: int,
     cfg: SolverConfig | None = None,
     seed: int = 0,
-    threads: int = 1,
     delta_scaling: str = "fixed",
 ) -> ExperimentReport:
     """Measure omega(n) against the threshold 2 ln n / ln(1/delta).
@@ -304,7 +299,7 @@ def threshold_sweep(
             "optimal": res.optimal,
         }
 
-    records = run_indexed(len(ns) * trials, one_trial, threads)
+    records = run_indexed(len(ns) * trials, one_trial)
     params = {
         "ns": ns,
         "delta": delta,
@@ -335,7 +330,6 @@ def interval_width_experiment(
     trials: int,
     cfg: SolverConfig | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Distribution of the optimum clique's label-interval width, as a share of delta."""
     cfg = cfg or SolverConfig()
@@ -359,7 +353,7 @@ def interval_width_experiment(
             "optimal": res.optimal,
         }
 
-    records = run_indexed(trials, one_trial, threads)
+    records = run_indexed(trials, one_trial)
     params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
     extras = {"median_ratio": float(np.median([r["value"] for r in records]))}
     return ExperimentReport.from_trials("interval_width", params, records, extras)
@@ -417,7 +411,6 @@ def reduction_experiment(
     trials: int,
     cfg: SolverConfig | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Static-max-clique reduction check on planted instances.
 
@@ -460,7 +453,7 @@ def reduction_experiment(
             "optimal": res.optimal,
         }
 
-    records = run_indexed(trials, one_trial, threads)
+    records = run_indexed(trials, one_trial)
     params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
     return ExperimentReport.from_trials("reduction", params, records)
 
@@ -471,7 +464,6 @@ def conjecture2_probe(
     trials: int,
     cfg: SolverConfig | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Where does the optimum clique's interval sit inside [0, delta]?
 
@@ -479,8 +471,8 @@ def conjecture2_probe(
     [0, delta); records the left endpoint (the value column), the width, and
     the left endpoint normalized by its feasible range delta - width.  The
     extras carry a 10-bin histogram of left endpoints and the KS statistic
-    of the normalized endpoints against uniform[0, 1] — reported, never
-    asserted.
+    of the normalized endpoints against uniform[0, 1] (None when no trial
+    has a normalized endpoint) — reported, never asserted.
     """
     cfg = cfg or SolverConfig()
     if trials < 1:
@@ -510,7 +502,7 @@ def conjecture2_probe(
             "optimal": res.optimal,
         }
 
-    records = run_indexed(trials, one_trial, threads)
+    records = run_indexed(trials, one_trial)
     lefts = [r["value"] for r in records]
     normalized = [
         r["normalized_left"]
@@ -523,7 +515,7 @@ def conjecture2_probe(
     if normalized:
         ks_stat = float(stats.kstest(normalized, "uniform").statistic)
     else:
-        ks_stat = float("nan")
+        ks_stat = None
     params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
     extras = {
         "histogram_counts": hist.tolist(),

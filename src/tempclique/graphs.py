@@ -35,6 +35,8 @@ class IntervalTooWide(NotADeltaClique):
 
 
 def _as_edge_arrays(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
+    if n > np.iinfo(np.int64).max:
+        raise OverflowError("n must fit in a 64-bit integer")
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
@@ -44,17 +46,19 @@ def _as_edge_arrays(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("vertex ids must lie in [0, n)")
         if not (u < v).all():
             raise ValueError("edges must be canonical pairs with u < v")
-        key = u * n + v
-        dk = np.diff(key)
-        if (dk <= 0).any():
-            if (dk == 0).any():
-                raise ValueError("duplicate edge in edge list")
+        # compare (u, v) pairs directly: a key like u * n + v wraps in int64
+        du = np.diff(u)
+        dv = np.diff(v)
+        if ((du == 0) & (dv == 0)).any():
+            raise ValueError("duplicate edge in edge list")
+        if ((du < 0) | ((du == 0) & (dv < 0))).any():
             raise ValueError("edges must be sorted lexicographically by (u, v)")
     return u, v
 
 
-def _sort_key(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.argsort(u * n + v, kind="stable")
+def _sort_key(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stable order of the pairs (u, v), lexicographic by u then v."""
+    return np.lexsort((v, u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +96,7 @@ class TemporalGraph:
         lab = np.array([r[2] for r in rows], dtype=np.float64)
         if (u == v).any():
             raise ValueError("self-loops are not allowed")
-        order = _sort_key(n, u, v)
+        order = _sort_key(u, v)
         return cls(n, u[order], v[order], lab[order])
 
     @property
@@ -159,7 +163,7 @@ class StaticGraph:
         v = np.array([max(a, b) for a, b in rows], dtype=np.int64)
         if (u == v).any():
             raise ValueError("self-loops are not allowed")
-        order = _sort_key(n, u, v)
+        order = _sort_key(u, v)
         return cls(n, u[order], v[order])
 
     @property

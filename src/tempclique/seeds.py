@@ -1,11 +1,11 @@
-"""Deterministic 64-bit seed derivation for parallel Monte Carlo streams.
+"""Deterministic 64-bit seed derivation for independent Monte Carlo streams.
 
 A single master seed drives every experiment.  Per-trial seeds are derived
 by mixing (master, index) through the splitmix64 finalizer, so the seed of
-trial i never depends on how trials are scheduled across threads.  The
-derived seeds feed numpy PCG64 generators; the vectorized counter-mode
-helper below is for hot loops where constructing one Generator per trial
-would dominate the run time.
+trial i depends only on (master, i), and trial i's record is a pure function
+of (params, seed, i).  The derived seeds feed numpy PCG64 generators; the
+vectorized counter-mode helper below is for hot loops where constructing one
+Generator per trial would dominate the run time.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def mix64(x: int) -> int:
 def derive_seed(master: int, index: int) -> int:
     """Derive the sub-stream seed for trial `index` of a run seeded by `master`.
 
-    Pure function of (master, index): results are identical no matter how
-    many worker threads consume the trials or in which order.
+    Pure function of (master, index): it does not depend on which trials ran
+    before, so a trial's record is a pure function of (params, seed, i).
     """
     return mix64((master + (index + 1) * _GOLDEN) & _MASK64)
 
@@ -47,7 +47,7 @@ def uniform_block(master: int, n_trials: int, per_trial: int) -> np.ndarray:
 
     Entry (i, j) is a pure function of (master, i, j), built from the same
     splitmix64 derivation as `derive_seed`, so a blocked computation gives
-    byte-identical results to any per-trial or threaded schedule.
+    byte-identical results to drawing each trial on its own.
     """
     if n_trials < 0 or per_trial < 0:
         raise ValueError("n_trials and per_trial must be nonnegative")

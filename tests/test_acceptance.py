@@ -4,8 +4,8 @@ One test per criterion; each prints a single
 ``acceptance criterion N (...): PASS|FAIL`` line (run pytest with -s or -rA
 to see the lines for passing tests) and then asserts.  Every run is driven
 from MASTER_SEED so the whole suite is reproducible bit for bit; criterion 8
-re-executes the seeded experiment runs under several thread counts and
-demands byte-identical CSV trial records.
+re-executes the seeded experiment runs in a fresh interpreter with another
+hash seed and demands byte-identical CSV trial records.
 
 Covered:
   1. closed-form window probability vs Monte Carlo (20 parameter combos,
@@ -22,22 +22,30 @@ Covered:
      number, and beats a greedy static clique in >= 18/20 trials
   7. analytic invariants: density quadrature, compositional identity,
      big-rational oracle to 10 significant digits, monotonicity grids
-  8. byte-identical CSV records for the criterion 1-6 runs under thread
-     counts {1, 4, cpu_count} (the vectorized window-probability estimator
-     takes no thread count, so its runs are repeated once per count)
+  8. byte-identical CSV records for the criterion 1-6 runs when each is
+     repeated in a fresh interpreter with a different PYTHONHASHSEED, so a
+     record depending on process state or hash order fails the check
+
+Run as a script, this file prints the CSV digests of the criterion 1-6 runs
+as JSON; criterion 8 does that in a subprocess.
 """
 
 import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import tempclique
 from tempclique.analytics import (
     expected_clique_count,
     k0_threshold,
@@ -70,10 +78,9 @@ ORACLE_INSTANCES = 500
 ORACLE_DELTAS = (0.1, 0.3, 0.5, 0.9)
 SWEEP_NS = [50, 100, 200, 300]
 WIDTH_MEDIAN_BAND = 0.9  # frozen after calibration at seeds 101/202/303
-THREAD_COUNTS = sorted({1, 4, os.cpu_count() or 1})
 
-# criterion 8 compares these runs across thread counts; the criterion tests
-# populate the threads=1 entries so nothing is computed twice.
+# the criterion tests populate these runs and criterion 8 reuses them, so
+# nothing is computed twice in one process.
 _CACHE: dict = {}
 
 
@@ -89,14 +96,12 @@ def _digest(text: str) -> str:
 
 
 # ------------------------------------------------------------------ runners
-# Each returns {key: sha256-of-csv} for one thread count, caching as it goes.
-# Reports for criteria 4-6 are small, so those cache the report itself too.
+# The estimators' reports hold 10^4-10^5 records each, so their runners cache
+# only {key: sha256-of-csv} and the means; the others cache the report.
 
 
-def _window_prob_digests(threads: int) -> dict:
-    # the estimator is vectorized and takes no thread count; each count still
-    # gets its own run, so criterion 8 checks that repeated runs are identical
-    key = ("window_prob", threads)
+def _window_prob_digests() -> dict:
+    key = "window_prob"
     if key not in _CACHE:
         out = {}
         for idx, (h, d) in enumerate(WINDOW_GRID):
@@ -104,29 +109,27 @@ def _window_prob_digests(threads: int) -> dict:
                 h, d, trials=10**5, seed=derive_seed(MASTER_SEED, idx)
             )
             out[(h, d)] = _digest(rpt.csv_text())
-            if threads == 1:
-                _CACHE[("window_prob_mean", (h, d))] = rpt.mean
+            _CACHE[("window_prob_mean", (h, d))] = rpt.mean
         _CACHE[key] = out
     return _CACHE[key]
 
 
-def _clique_count_digests(threads: int) -> dict:
-    key = ("clique_count", threads)
+def _clique_count_digests() -> dict:
+    key = "clique_count"
     if key not in _CACHE:
         out = {}
         for idx, (n, k, d) in enumerate(COUNT_CONFIGS):
             rpt = estimate_clique_count(
-                n, k, d, trials=10**4, seed=derive_seed(MASTER_SEED, 100 + idx), threads=threads
+                n, k, d, trials=10**4, seed=derive_seed(MASTER_SEED, 100 + idx)
             )
             out[(n, k, d)] = _digest(rpt.csv_text())
-            if threads == 1:
-                _CACHE[("clique_count_stats", (n, k, d))] = (rpt.mean, rpt.stderr)
+            _CACHE[("clique_count_stats", (n, k, d))] = (rpt.mean, rpt.stderr)
         _CACHE[key] = out
     return _CACHE[key]
 
 
-def _oracle_report(threads: int) -> ExperimentReport:
-    key = ("oracle", threads)
+def _oracle_report() -> ExperimentReport:
+    key = "oracle"
     if key not in _CACHE:
 
         def one_instance(i: int) -> dict:
@@ -141,7 +144,7 @@ def _oracle_report(threads: int) -> ExperimentReport:
                     mismatches += 1
             return {"trial": i, "seed": s, "n": n, "value": mismatches}
 
-        records = run_indexed(ORACLE_INSTANCES, one_instance, threads)
+        records = run_indexed(ORACLE_INSTANCES, one_instance)
         params = {
             "instances": ORACLE_INSTANCES,
             "deltas": list(ORACLE_DELTAS),
@@ -151,32 +154,32 @@ def _oracle_report(threads: int) -> ExperimentReport:
     return _CACHE[key]
 
 
-def _threshold_report(threads: int) -> ExperimentReport:
-    key = ("threshold", threads)
+def _threshold_report() -> ExperimentReport:
+    key = "threshold"
     if key not in _CACHE:
         _CACHE[key] = threshold_sweep(
             SWEEP_NS, 0.3, trials=20, cfg=SolverConfig(mode="exact"),
-            seed=MASTER_SEED, threads=threads,
+            seed=MASTER_SEED,
         )
     return _CACHE[key]
 
 
-def _width_report(threads: int) -> ExperimentReport:
-    key = ("width", threads)
+def _width_report() -> ExperimentReport:
+    key = "width"
     if key not in _CACHE:
         _CACHE[key] = interval_width_experiment(
             200, 0.3, trials=20, cfg=SolverConfig(mode="exact"),
-            seed=MASTER_SEED, threads=threads,
+            seed=MASTER_SEED,
         )
     return _CACHE[key]
 
 
-def _reduction_report(threads: int) -> ExperimentReport:
-    key = ("reduction", threads)
+def _reduction_report() -> ExperimentReport:
+    key = "reduction"
     if key not in _CACHE:
         _CACHE[key] = reduction_experiment(
             100, 0.5, trials=20, cfg=SolverConfig(mode="exact"),
-            seed=MASTER_SEED, threads=threads,
+            seed=MASTER_SEED,
         )
     return _CACHE[key]
 
@@ -185,7 +188,7 @@ def _reduction_report(threads: int) -> ExperimentReport:
 
 
 def test_criterion_1_window_probability_monte_carlo():
-    _window_prob_digests(1)
+    _window_prob_digests()
     worst = 0.0
     failures = []
     for h, d in WINDOW_GRID:
@@ -208,7 +211,7 @@ def test_criterion_1_window_probability_monte_carlo():
 
 def test_criterion_2_expected_count_monte_carlo():
     assert expected_clique_count(4, 3, 0.5) == 2.0
-    _clique_count_digests(1)
+    _clique_count_digests()
     failures = []
     details = []
     for n, k, d in COUNT_CONFIGS:
@@ -224,7 +227,7 @@ def test_criterion_2_expected_count_monte_carlo():
 
 
 def test_criterion_3_exact_solver_matches_bruteforce():
-    rpt = _oracle_report(1)
+    rpt = _oracle_report()
     total = sum(t["value"] for t in rpt.trials)
     ok = total == 0 and rpt.count == ORACLE_INSTANCES
     _verdict(3, "exact vs brute force", ok,
@@ -235,7 +238,7 @@ def test_criterion_3_exact_solver_matches_bruteforce():
 
 def test_criterion_4_threshold_band():
     assert k0_threshold(300, 0.3) == pytest.approx(9.474935736359191, rel=1e-12)
-    rpt = _threshold_report(1)
+    rpt = _threshold_report()
     bad_upper = [t for t in rpt.trials if not t["upper_ok"]]
     bad_lower = [t for t in rpt.trials if not t["lower_ok"]]
     not_optimal = [t for t in rpt.trials if not t["optimal"]]
@@ -252,7 +255,7 @@ def test_criterion_4_threshold_band():
 
 
 def test_criterion_5_interval_width():
-    rpt = _width_report(1)
+    rpt = _width_report()
     ratios = [t["value"] for t in rpt.trials]
     median = rpt.extras["median_ratio"]
     hard_ok = all(r <= 1.0 + 1e-12 for r in ratios)
@@ -266,7 +269,7 @@ def test_criterion_5_interval_width():
 
 
 def test_criterion_6_reduction_recovers_planted_cliques():
-    rpt = _reduction_report(1)
+    rpt = _reduction_report()
     not_base = [t for t in rpt.trials if not t["base_clique"]]
     not_window = [t for t in rpt.trials if not t["in_planted_window"]]
     below_omega = [t for t in rpt.trials if t["value"] < t["base_omega"]]
@@ -341,31 +344,49 @@ def test_criterion_7_analytic_invariants():
     assert ok, failures
 
 
-def test_criterion_8_thread_determinism():
-    mismatches = []
-    base_threads = THREAD_COUNTS[0]
-    baselines = {
-        "window_prob": _window_prob_digests(base_threads),
-        "clique_count": _clique_count_digests(base_threads),
-        "oracle": _digest(_oracle_report(base_threads).csv_text()),
-        "threshold": _digest(_threshold_report(base_threads).csv_text()),
-        "width": _digest(_width_report(base_threads).csv_text()),
-        "reduction": _digest(_reduction_report(base_threads).csv_text()),
-    }
-    for threads in THREAD_COUNTS[1:]:
-        if _window_prob_digests(threads) != baselines["window_prob"]:
-            mismatches.append(("window_prob", threads))
-        if _clique_count_digests(threads) != baselines["clique_count"]:
-            mismatches.append(("clique_count", threads))
-        for name, runner in (
-            ("oracle", _oracle_report),
-            ("threshold", _threshold_report),
-            ("width", _width_report),
-            ("reduction", _reduction_report),
-        ):
-            if _digest(runner(threads).csv_text()) != baselines[name]:
-                mismatches.append((name, threads))
+def _all_digests() -> dict:
+    """{run: sha256 of its CSV records} for every criterion 1-6 run."""
+    out = {f"window_prob {key}": dg for key, dg in _window_prob_digests().items()}
+    out.update({f"clique_count {key}": dg for key, dg in _clique_count_digests().items()})
+    for name, runner in (
+        ("oracle", _oracle_report),
+        ("threshold", _threshold_report),
+        ("width", _width_report),
+        ("reduction", _reduction_report),
+    ):
+        out[name] = _digest(runner().csv_text())
+    return out
+
+
+def _fresh_interpreter_digests() -> dict:
+    """Run this file as a script in a new interpreter with another hash seed."""
+    env = dict(os.environ)
+    parent_seed = env.get("PYTHONHASHSEED", "")
+    env["PYTHONHASHSEED"] = str((int(parent_seed) + 1) % 2**32) if parent_seed.isdigit() else "1"
+    src = str(Path(tempclique.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve())],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_criterion_8_repeat_determinism():
+    in_process = _all_digests()
+    fresh = _fresh_interpreter_digests()
+    assert fresh["hash"] != hash("tempclique"), "the fresh interpreter kept the hash seed"
+    mismatches = sorted(
+        key for key in in_process.keys() | fresh["digests"].keys()
+        if in_process.get(key) != fresh["digests"].get(key)
+    )
     ok = not mismatches
-    _verdict(8, "thread-count determinism", ok,
-             f"byte-identical CSV under thread counts {THREAD_COUNTS}")
-    assert ok, f"records differ across thread counts: {mismatches}"
+    _verdict(8, "repeat determinism", ok,
+             f"CSV digests of {len(in_process)} runs compared with a fresh "
+             f"interpreter under another PYTHONHASHSEED, {len(mismatches)} differ")
+    assert ok, f"records differ in a fresh interpreter: {mismatches}"
+
+
+if __name__ == "__main__":
+    print(json.dumps({"hash": hash("tempclique"), "digests": _all_digests()}))

@@ -230,9 +230,34 @@ def test_experiment_threads_flag_does_not_change_output(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, *argv, "--threads", "1", "--outdir", str(tmp_path / "a"))
     _, out4, _ = run_cli(capsys, *argv, "--threads", "4", "--outdir", str(tmp_path / "b"))
     assert out1 == out4
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--threads THREADS ignored: trials run one at a time" in help_text
     csv_a = next((tmp_path / "a").glob("*.csv")).read_bytes()
     csv_b = next((tmp_path / "b").glob("*.csv")).read_bytes()
     assert csv_a == csv_b
+
+
+def test_experiment_json_is_strict_when_no_endpoint_normalizes(tmp_path, capsys):
+    """At n = 2 every optimum is one edge of width 0, so no trial has a
+    normalized endpoint and the KS statistic is undefined: it must print as
+    null, never as a bare NaN that strict JSON parsers reject."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out, _ = run_cli(
+        capsys,
+        "experiment", "--name", "conjecture2", "--n", "2", "--delta", "0.1",
+        "--trials", "3", "--seed", "0", "--outdir", str(tmp_path),
+    )
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["extras"]["ks_statistic"] is None
+    assert doc["extras"]["normalized_count"] == 0
+    written = next(tmp_path.glob("*.json")).read_text()
+    assert json.loads(written, parse_constant=reject) == doc
 
 
 def test_experiment_infeasible_exit_code(tmp_path, capsys):

@@ -90,6 +90,21 @@ def test_duplicate_edges_rejected():
         TemporalGraph.from_edges(3, [(0, 1, 0.5), (1, 0, 0.25)])
 
 
+@pytest.mark.parametrize("first_last", [True, False])
+def test_canonical_order_holds_beyond_int64_keys(first_last):
+    """At n = 2**32 the key u * n + v wraps in int64; (u, v) order must not."""
+    n = 2**32
+    edges = [(0, 1, 0.5), (n - 2, n - 1, 0.25)]
+    tg = TemporalGraph.from_edges(n, edges if first_last else edges[::-1])
+    assert tg.u.tolist() == [0, n - 2]
+    assert tg.v.tolist() == [1, n - 1]
+    assert tg.labels.tolist() == [0.5, 0.25]
+    with pytest.raises(ValueError, match="duplicate edge"):
+        TemporalGraph.from_edges(n, [(n - 2, n - 1, 0.5), (0, 1, 0.5), (n - 1, n - 2, 0.5)])
+    with pytest.raises(ValueError, match="must be sorted"):
+        TemporalGraph(n, np.array([n - 2, 0]), np.array([n - 1, 1]), np.array([0.5, 0.5]))
+
+
 def test_self_loops_rejected():
     with pytest.raises(ValueError):
         TemporalGraph.from_edges(3, [(1, 1, 0.5)])

@@ -30,8 +30,8 @@ def test_mix64_is_bijective_on_samples():
 def test_uniform_block_matches_per_trial_derivation():
     """Row i of a block must equal what a lone trial i would draw.
 
-    This is the schedule-independence contract: the blocked (vectorized)
-    computation and any per-trial threaded schedule produce the same numbers.
+    The blocked (vectorized) computation and one trial at a time produce the
+    same numbers, since entry (i, j) is a pure function of (seed, i, j).
     """
     master = 99
     block = uniform_block(master, 16, 7)

@@ -227,7 +227,17 @@ def estimate_clique_count(
     return ExperimentReport.from_trials("clique_count", params, records, extras)
 
 
-def _check_sweep_config(ns, cfg: SolverConfig) -> None:
+def _solver_trials(ns: list[int], trials: int, cfg: SolverConfig, seed: int, trial) -> list:
+    """Check a solver experiment's sizes, then run trial(n, t, s) for every n
+    in ns and t < trials, n-major.
+
+    Trial t at size n gets the seed s = derive_seed(derive_seed(seed, n), t),
+    so its record does not depend on which other sizes run.
+    """
+    if not ns:
+        raise ValueError("sweeps need at least one n")
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"sweeps need distinct n values, got {ns}")
     for n in ns:
         if n < 2:
             raise ValueError("threshold sweeps need n >= 2")
@@ -238,6 +248,19 @@ def _check_sweep_config(ns, cfg: SolverConfig) -> None:
             )
         if cfg.mode == "bruteforce":
             raise InfeasibleConfigError("sweeps do not run the bruteforce solver")
+
+    def one_trial(idx: int) -> dict:
+        n = ns[idx // trials]
+        t = idx % trials
+        return trial(n, t, derive_seed(derive_seed(seed, n), t))
+
+    return run_indexed(len(ns) * trials, one_trial)
+
+
+def _solve_complete(n: int, delta: float, cfg: SolverConfig, s: int):
+    """Solve the random complete instance of trial seed s at delta."""
+    tg = generate_random_complete(n, s)
+    return solve_max_delta_clique(tg, delta, cfg, seed=derive_seed(s, 1))
 
 
 def _sweep_delta(n: int, delta: float, delta_scaling: str) -> float:
@@ -251,8 +274,8 @@ def threshold_sweep(
     ns: list[int],
     delta: float,
     trials: int,
-    cfg: SolverConfig | None = None,
-    seed: int = 0,
+    cfg: SolverConfig,
+    seed: int,
     delta_scaling: str = "fixed",
 ) -> ExperimentReport:
     """Measure omega(n) against the threshold 2 ln n / ln(1/delta).
@@ -265,7 +288,6 @@ def threshold_sweep(
     with delta(n) = 1/ln(ln n) (needs n >= 16); this regime is exploratory
     and carries no band guarantees.
     """
-    cfg = cfg or SolverConfig()
     if trials < 1:
         raise ValueError("need at least one trial")
     if delta_scaling not in ("fixed", "invloglog"):
@@ -273,17 +295,12 @@ def threshold_sweep(
     if delta_scaling == "fixed" and not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly in (0, 1)")
     ns = [int(n) for n in ns]
-    if delta_scaling == "invloglog" and min(ns) < 16:
+    if delta_scaling == "invloglog" and any(n < 16 for n in ns):
         raise ValueError("invloglog scaling needs n >= 16 to keep delta < 1")
-    _check_sweep_config(ns, cfg)
 
-    def one_trial(idx: int) -> dict:
-        n = ns[idx // trials]
-        t = idx % trials
+    def trial(n: int, t: int, s: int) -> dict:
         d = _sweep_delta(n, delta, delta_scaling)
-        s = derive_seed(derive_seed(seed, n), t)
-        tg = generate_random_complete(n, s)
-        res = solve_max_delta_clique(tg, d, cfg, seed=derive_seed(s, 1))
+        res = _solve_complete(n, d, cfg, s)
         omega = res.clique.size
         k0 = k0_threshold(n, d)
         return {
@@ -299,7 +316,7 @@ def threshold_sweep(
             "optimal": res.optimal,
         }
 
-    records = run_indexed(len(ns) * trials, one_trial)
+    records = _solver_trials(ns, trials, cfg, seed, trial)
     params = {
         "ns": ns,
         "delta": delta,
@@ -325,24 +342,16 @@ def threshold_sweep(
 
 
 def interval_width_experiment(
-    n: int,
-    delta: float,
-    trials: int,
-    cfg: SolverConfig | None = None,
-    seed: int = 0,
+    n: int, delta: float, trials: int, cfg: SolverConfig, seed: int
 ) -> ExperimentReport:
     """Distribution of the optimum clique's label-interval width, as a share of delta."""
-    cfg = cfg or SolverConfig()
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly in (0, 1)")
-    _check_sweep_config([n], cfg)
 
-    def one_trial(t: int) -> dict:
-        s = derive_seed(derive_seed(seed, n), t)
-        tg = generate_random_complete(n, s)
-        res = solve_max_delta_clique(tg, delta, cfg, seed=derive_seed(s, 1))
+    def trial(n: int, t: int, s: int) -> dict:
+        res = _solve_complete(n, delta, cfg, s)
         width = res.clique.width
         return {
             "trial": t,
@@ -353,7 +362,7 @@ def interval_width_experiment(
             "optimal": res.optimal,
         }
 
-    records = run_indexed(trials, one_trial)
+    records = _solver_trials([n], trials, cfg, seed, trial)
     params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
     extras = {"median_ratio": float(np.median([r["value"] for r in records]))}
     return ExperimentReport.from_trials("interval_width", params, records, extras)
@@ -405,12 +414,19 @@ def build_planted_instance(
     return PlantedInstance(base, tg, mode, (0.0, planted_hi), (delta, 1.0))
 
 
+def _solve_planted(n: int, delta: float, mode: str, cfg: SolverConfig, s: int):
+    """Plant a G(n, delta) base drawn from trial seed s and solve the planted
+    instance at the top of its planted window; returns (planted, result)."""
+    base = generate_er(n, delta, derive_seed(s, 0))
+    planted = build_planted_instance(base, delta, mode, derive_seed(s, 1))
+    res = solve_max_delta_clique(
+        planted.temporal, planted.planted_range[1], cfg, seed=derive_seed(s, 2)
+    )
+    return planted, res
+
+
 def reduction_experiment(
-    n: int,
-    delta: float,
-    trials: int,
-    cfg: SolverConfig | None = None,
-    seed: int = 0,
+    n: int, delta: float, trials: int, cfg: SolverConfig, seed: int
 ) -> ExperimentReport:
     """Static-max-clique reduction check on planted instances.
 
@@ -421,49 +437,38 @@ def reduction_experiment(
     witness reaches), and how the witness compares to a greedy static clique
     of the base.
     """
-    cfg = cfg or SolverConfig()
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly in (0, 1)")
-    _check_sweep_config([n], cfg)
 
-    def one_trial(t: int) -> dict:
-        s = derive_seed(derive_seed(seed, n), t)
-        base = generate_er(n, delta, derive_seed(s, 0))
-        planted = build_planted_instance(base, delta, "half", derive_seed(s, 1))
-        res = solve_max_delta_clique(
-            planted.temporal, delta / 2.0, cfg, seed=derive_seed(s, 2)
-        )
+    def trial(n: int, t: int, s: int) -> dict:
+        planted, res = _solve_planted(n, delta, "half", cfg, s)
+        base = planted.base
         verts = res.clique.vertices
         in_base = all(
             base.has_edge(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]
         )
-        in_window = res.clique.interval_max <= planted.planted_range[1]
         greedy_size = len(greedy_static_clique(base))
         return {
             "trial": t,
             "seed": s,
             "value": res.clique.size,
             "base_clique": in_base,
-            "in_planted_window": in_window,
+            "in_planted_window": res.clique.interval_max <= planted.planted_range[1],
             "base_omega": len(static_max_clique(base)),
             "greedy_size": greedy_size,
             "beats_greedy": res.clique.size >= greedy_size,
             "optimal": res.optimal,
         }
 
-    records = run_indexed(trials, one_trial)
+    records = _solver_trials([n], trials, cfg, seed, trial)
     params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
     return ExperimentReport.from_trials("reduction", params, records)
 
 
 def conjecture2_probe(
-    n: int,
-    delta: float,
-    trials: int,
-    cfg: SolverConfig | None = None,
-    seed: int = 0,
+    n: int, delta: float, trials: int, cfg: SolverConfig, seed: int
 ) -> ExperimentReport:
     """Where does the optimum clique's interval sit inside [0, delta]?
 
@@ -474,20 +479,13 @@ def conjecture2_probe(
     of the normalized endpoints against uniform[0, 1] (None when no trial
     has a normalized endpoint) — reported, never asserted.
     """
-    cfg = cfg or SolverConfig()
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly in (0, 1)")
-    _check_sweep_config([n], cfg)
 
-    def one_trial(t: int) -> dict:
-        s = derive_seed(derive_seed(seed, n), t)
-        base = generate_er(n, delta, derive_seed(s, 0))
-        planted = build_planted_instance(base, delta, "full", derive_seed(s, 1))
-        res = solve_max_delta_clique(
-            planted.temporal, delta, cfg, seed=derive_seed(s, 2)
-        )
+    def trial(n: int, t: int, s: int) -> dict:
+        planted, res = _solve_planted(n, delta, "full", cfg, s)
         left = res.clique.interval_min
         width = res.clique.width
         slack = delta - width
@@ -498,11 +496,11 @@ def conjecture2_probe(
             "width": width,
             "normalized_left": left / slack if slack > 1e-12 else 0.0,
             "size": res.clique.size,
-            "in_planted_window": res.clique.interval_max <= delta,
+            "in_planted_window": res.clique.interval_max <= planted.planted_range[1],
             "optimal": res.optimal,
         }
 
-    records = run_indexed(trials, one_trial)
+    records = _solver_trials([n], trials, cfg, seed, trial)
     lefts = [r["value"] for r in records]
     normalized = [
         r["normalized_left"]

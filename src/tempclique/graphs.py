@@ -103,22 +103,11 @@ class TemporalGraph:
     def m(self) -> int:
         return int(self.u.size)
 
-    @property
-    def is_complete(self) -> bool:
-        return self.m == self.n * (self.n - 1) // 2
-
     def edge_list(self) -> list[tuple[int, int, float]]:
         return [
             (int(a), int(b), float(t))
             for a, b, t in zip(self.u, self.v, self.labels)
         ]
-
-    @cached_property
-    def _label_map(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(a), int(b)): float(t)
-            for a, b, t in zip(self.u, self.v, self.labels)
-        }
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
@@ -246,28 +235,19 @@ def generate_er(n: int, p: float, seed: int) -> StaticGraph:
 
 
 def _clique_labels(tg: TemporalGraph, verts: Sequence[int]) -> np.ndarray:
-    """Labels of all internal edges of `verts`; raises MissingEdge if incomplete."""
-    k = len(verts)
-    if tg.is_complete:
-        a = np.repeat(np.asarray(verts, dtype=np.int64), np.arange(k - 1, -1, -1))
-        b = np.concatenate(
-            [np.asarray(verts[i + 1 :], dtype=np.int64) for i in range(k)]
-        ) if k > 1 else np.empty(0, np.int64)
-        return tg.labels[_pair_index(tg.n, np.minimum(a, b), np.maximum(a, b))]
-    lm = tg._label_map
-    out = np.empty(k * (k - 1) // 2)
-    pos = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = verts[i], verts[j]
-            if a > b:
-                a, b = b, a
-            try:
-                out[pos] = lm[(a, b)]
-            except KeyError:
-                raise MissingEdge(f"missing edge ({a}, {b})") from None
-            pos += 1
-    return out
+    """Labels of all internal edges of the sorted `verts`, in row-major pair
+    order; raises MissingEdge naming the first missing pair."""
+    rows = []
+    for i, a in enumerate(verts[:-1]):
+        lo, hi = np.searchsorted(tg.u, (a, a + 1))
+        want = np.asarray(verts[i + 1 :], dtype=np.int64)
+        idx = lo + np.searchsorted(tg.v[lo:hi], want)
+        hit = idx < hi
+        hit[hit] = tg.v[idx[hit]] == want[hit]
+        if not hit.all():
+            raise MissingEdge(f"missing edge ({a}, {want[np.argmin(hit)]})")
+        rows.append(tg.labels[idx])
+    return np.concatenate(rows)
 
 
 def delta_clique_check(tg: TemporalGraph, vertices, delta: float) -> CliqueResult:

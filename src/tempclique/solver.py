@@ -281,14 +281,19 @@ def max_delta_clique_exact(
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     t_start = time.perf_counter()
-    n, m = tg.n, tg.m
+    m = tg.m
     deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
     best: tuple[int, ...] = (0,)
     optimal = True
     if m > 0:
+        # search the vertices that carry an edge, renumbered 0..n-1 in id
+        # order so nothing is sized by tg.n; witnesses map back through ids
+        ids = np.unique(np.concatenate((tg.u, tg.v)))
+        n = ids.size
         order = np.argsort(tg.labels, kind="stable")
-        su = tg.u[order].tolist()
-        sv = tg.v[order].tolist()
+        # renumber before reordering: sorted needles bisect several times faster
+        su = np.searchsorted(ids, tg.u)[order].tolist()
+        sv = np.searchsorted(ids, tg.v)[order].tolist()
         slab = tg.labels[order].tolist()
         ident = list(range(n))
         pos = inv = ident  # bit position of each vertex, vertex at each position
@@ -316,7 +321,7 @@ def max_delta_clique_exact(
             u0, v0 = su[a], sv[a]
             if state.best_size < 2:
                 state.best_size = 2
-                best = (u0, v0)
+                best = (int(ids[u0]), int(ids[v0]))
             # a clique of size s+1 needs C(s+1, 2) edges inside the window
             if hi - a < comb(state.best_size + 1, 2):
                 continue
@@ -334,7 +339,7 @@ def max_delta_clique_exact(
             before = state.best_size
             _expand(adj, cands, [p, q], state)
             if state.best_size > before:
-                best = tuple(inv[p] for p in state.best)
+                best = tuple(ids[[inv[p] for p in state.best]].tolist())
                 grown = (a, hi, before)
             if state.timed_out:
                 optimal = False
@@ -345,7 +350,7 @@ def max_delta_clique_exact(
             rederive = _SearchState(before, deadline)
             _expand(adj, adj[su[a]] & adj[sv[a]], [su[a], sv[a]], rederive)
             if not rederive.timed_out:
-                best = rederive.best
+                best = tuple(ids[list(rederive.best)].tolist())
     witness = delta_clique_check(tg, best, delta)
     return SolveResult(witness, optimal, "exact", time.perf_counter() - t_start)
 

@@ -134,6 +134,16 @@ def test_solve_rejects_overflowing_vertex_ids(tmp_path, capsys, name, text):
     assert err.startswith("input error:")
 
 
+def test_exact_solve_is_sized_by_the_vertices_that_carry_an_edge(tmp_path, capsys):
+    """n = 2**62 with two edges: the exact search must not allocate per vertex."""
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 4611686018427387904, "edges": [[1, 2, 0.5], [3, 4, 0.5]]}')
+    code, out, _ = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3", "--mode", "exact")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["vertices"] == [1, 2] and doc["optimal"] is True
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "solve", "--delta", "0.5")[0] == 1
     assert run_cli(capsys, "frobnicate")[0] == 1
@@ -258,6 +268,21 @@ def test_experiment_json_is_strict_when_no_endpoint_normalizes(tmp_path, capsys)
     assert doc["extras"]["normalized_count"] == 0
     written = next(tmp_path.glob("*.json")).read_text()
     assert json.loads(written, parse_constant=reject) == doc
+
+
+@pytest.mark.parametrize("ns, problem", [("30,30", "distinct"), (",", "at least one n")])
+def test_experiment_rejects_repeated_or_missing_n(tmp_path, capsys, ns, problem):
+    """A repeated n would run every trial twice on the same seeds, so the
+    standard error would count copies; no n leaves nothing to aggregate."""
+    code, out, err = run_cli(
+        capsys,
+        "experiment", "--name", "threshold", "--ns", ns, "--delta", "0.3",
+        "--trials", "2", "--seed", "1", "--outdir", str(tmp_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and problem in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_experiment_infeasible_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Monte Carlo harness: seeding, trial order, reports, experiments."""
 
+import hashlib
 import json
 import math
 from math import comb
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from tempclique.analytics import window_probability
+from tempclique.cli import main
 from tempclique.experiments import (
     ExperimentReport,
     build_planted_instance,
@@ -212,7 +214,7 @@ def test_planted_instance_mode_half_ranges():
     base = generate_er(30, 0.4, 5)
     inst = build_planted_instance(base, 0.5, "half", seed=7)
     tg = inst.temporal
-    assert tg.is_complete and tg.n == 30
+    assert tg.m == 30 * 29 // 2 and tg.n == 30
     base_pairs = set(base.edge_list())
     for a, b, t in tg.edge_list():
         if (a, b) in base_pairs:
@@ -290,3 +292,55 @@ def test_conjecture2_probe_reports_histogram_and_ks():
         assert 0.0 <= t["value"] <= 1.0
         if t["in_planted_window"]:
             assert t["value"] <= 0.4 + 1e-12
+
+
+# ------------------------------------------------------------- pinned outputs
+
+# CSV sha256 of one small run of each `tempclique experiment` name, plus a
+# heuristic and an invloglog threshold run.  A record is a pure function of
+# (params, seed, i), so any change to these digests changes what the
+# experiments compute.
+PINNED_CSV = {
+    "window-prob": (
+        "--name window-prob --h 5 --delta 0.4 --trials 200 --seed 1",
+        "d844e47773868f4895a6ef19466d3d958116287b514e52b49ba21d3d2d28fdcc",
+    ),
+    "clique-count": (
+        "--name clique-count --n 10 --k 3 --delta 0.3 --trials 5 --seed 2",
+        "eaaf00df74ae8f7e54707476e1b4adc76097cd2d4cc2a39b04302f2efc322299",
+    ),
+    "threshold": (
+        "--name threshold --ns 20,40 --delta 0.3 --trials 3 --seed 3",
+        "209027c27c535a4b8d5a088809d0f7703bb902cefa5d8b1e64768ffa3ef7eb40",
+    ),
+    "threshold-heuristic": (
+        "--name threshold --ns 60 --delta 0.5 --trials 2 --mode heuristic --seed 4",
+        "9c8af1a5f971a717ee9a4ff99365441542d248323ff4e9e68d805a906525fd1f",
+    ),
+    "threshold-invloglog": (
+        "--name threshold --ns 20,30 --trials 2 --delta-scaling invloglog --seed 5",
+        "3f55ca9ae5e5acbc305026ea384d3aaad1e3f0ef906d3ef3ae79319f950ed061",
+    ),
+    "interval-width": (
+        "--name interval-width --n 30 --delta 0.4 --trials 4 --seed 6",
+        "8faec168b19ae776810702a8736c278991a5d7d8b9e15d487237e515a9fbafb7",
+    ),
+    "reduction": (
+        "--name reduction --n 30 --delta 0.5 --trials 4 --seed 7",
+        "b93677fd8ff08764dda5eb5ae7526b445edfe00c82a724f6bce82da3f27aedd3",
+    ),
+    "conjecture2": (
+        "--name conjecture2 --n 30 --delta 0.5 --trials 4 --seed 8",
+        "c972da0ccf3a0bdd4f3827b1c49f6e8ef4bdebc89d1235a53d0d109c52c9d685",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CSV)
+def test_experiment_csv_is_pinned(tmp_path, capsys, name):
+    args, digest = PINNED_CSV[name]
+    code = main(["experiment", *args.split(), "--format", "csv", "--outdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert next(tmp_path.glob("*.csv")).read_text() == out

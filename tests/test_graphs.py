@@ -30,7 +30,7 @@ def triangle(l01, l02, l12):
 def test_complete_generator_shape():
     tg = generate_random_complete(5, 7)
     assert tg.n == 5 and tg.m == 10
-    assert tg.is_complete
+    assert tg.m == 5 * 4 // 2
     assert tg.labels.min() >= 0.0 and tg.labels.max() < 1.0
 
 
@@ -243,6 +243,41 @@ def test_window_subgraph_cliques_are_delta_cliques(n, seed):
                 c = bit.bit_length() - 1
                 common ^= bit
                 assert is_delta_clique(tg, (a, b, c), delta)
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.1, 0.3, 0.6, 1.0]),
+)
+@settings(deadline=None, max_examples=60)
+def test_sparse_check_agrees_with_complete(n, seed, delta):
+    """Remove random edges from a complete graph: a set whose internal edges
+    all survive gets the complete graph's verdict and interval; any other set
+    raises MissingEdge naming its first missing pair in row-major order."""
+    full = generate_random_complete(n, seed)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(full.m) < rng.uniform(0.3, 1.0)
+    sparse = TemporalGraph(n, full.u[keep], full.v[keep], full.labels[keep])
+    kept = set(zip(sparse.u.tolist(), sparse.v.tolist()))
+    for _ in range(20):
+        k = int(rng.integers(2, n + 1))
+        verts = sorted(rng.choice(n, size=k, replace=False).tolist())
+        missing = [
+            (a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if (a, b) not in kept
+        ]
+        if missing:
+            with pytest.raises(MissingEdge) as exc:
+                delta_clique_check(sparse, verts, delta)
+            assert str(exc.value) == f"missing edge {missing[0]}"
+            continue
+        try:
+            expected = delta_clique_check(full, verts, delta)
+        except IntervalTooWide:
+            with pytest.raises(IntervalTooWide):
+                delta_clique_check(sparse, verts, delta)
+        else:
+            assert delta_clique_check(sparse, verts, delta) == expected
 
 
 @given(

@@ -72,14 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", choices=("exact", "bruteforce", "heuristic"), default="exact")
     p_solve.add_argument("--budget-secs", type=float, default=None)
     p_solve.add_argument("--seed", type=int, default=0, help="heuristic RNG seed")
-    p_solve.add_argument("--restarts", type=int, default=None, help="heuristic restarts per anchor")
 
     p_an = sub.add_parser("analyze", help="evaluate a closed-form quantity")
-    p_an.add_argument(
-        "--what",
-        required=True,
-        choices=("window-prob", "expected-count", "k0", "overlap-bound", "density"),
-    )
+    p_an.add_argument("--what", required=True, choices=tuple(_ANALYZE))
     p_an.add_argument("--n", type=int)
     p_an.add_argument("--k", type=int)
     p_an.add_argument("--delta", type=float)
@@ -89,18 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--y", type=float)
 
     p_ex = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    p_ex.add_argument(
-        "--name",
-        required=True,
-        choices=(
-            "window-prob",
-            "clique-count",
-            "threshold",
-            "interval-width",
-            "reduction",
-            "conjecture2",
-        ),
-    )
+    p_ex.add_argument("--name", required=True, choices=tuple(_EXPERIMENTS))
     p_ex.add_argument("--n", type=int)
     p_ex.add_argument("--ns", help="comma-separated n values for threshold sweeps")
     p_ex.add_argument("--k", type=int)
@@ -118,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--outdir", default=".")
     p_ex.add_argument("--format", choices=("json", "csv"), default="json", help="what to print on stdout")
     p_ex.add_argument("--budget-secs", type=float, default=None)
-    p_ex.add_argument("--restarts", type=int, default=None)
-    p_ex.add_argument(
-        "--delta-scaling",
-        choices=("fixed", "invloglog"),
-        default="fixed",
-        help="threshold sweeps only: invloglog uses delta(n) = 1/ln(ln n)",
-    )
     return parser
 
 
@@ -148,10 +125,7 @@ def _cmd_generate(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    kwargs = {"mode": args.mode, "time_budget": args.budget_secs}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    return SolverConfig(**kwargs)
+    return SolverConfig(mode=args.mode, time_budget=args.budget_secs)
 
 
 def _cmd_solve(args) -> int:
@@ -171,33 +145,29 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+# --what -> (required flags, optional flags, closed form called with the
+# given flags as keywords).  The flags given, in this order, are the params
+# of the printed result.
+_ANALYZE = {
+    "window-prob": (["h", "delta"], [], window_probability),
+    "expected-count": (["n", "k", "delta"], [], expected_clique_count),
+    "k0": (["n", "delta"], [], k0_threshold),
+    "overlap-bound": (["n", "k", "delta"], [], second_moment_overlap_bound),
+    # the joint min/max density with --y, the min density otherwise
+    "density": (
+        ["m", "x"],
+        ["y"],
+        lambda m, x, y=None: min_density(m, x) if y is None else minmax_joint_density(m, x, y),
+    ),
+}
+
+
 def _cmd_analyze(args) -> int:
-    what = args.what
-    if what == "window-prob":
-        _require(args, ["h", "delta"], what)
-        value = window_probability(args.h, args.delta)
-        params = {"h": args.h, "delta": args.delta}
-    elif what == "expected-count":
-        _require(args, ["n", "k", "delta"], what)
-        value = expected_clique_count(args.n, args.k, args.delta)
-        params = {"n": args.n, "k": args.k, "delta": args.delta}
-    elif what == "k0":
-        _require(args, ["n", "delta"], what)
-        value = k0_threshold(args.n, args.delta)
-        params = {"n": args.n, "delta": args.delta}
-    elif what == "overlap-bound":
-        _require(args, ["n", "k", "delta"], what)
-        value = second_moment_overlap_bound(args.n, args.k, args.delta)
-        params = {"n": args.n, "k": args.k, "delta": args.delta}
-    else:  # density: joint min/max with --y, min otherwise
-        _require(args, ["m", "x"], what)
-        if args.y is not None:
-            value = minmax_joint_density(args.m, args.x, args.y)
-            params = {"m": args.m, "x": args.x, "y": args.y}
-        else:
-            value = min_density(args.m, args.x)
-            params = {"m": args.m, "x": args.x}
-    print(json.dumps({"what": what, "params": params, "value": value}))
+    required, optional, closed_form = _ANALYZE[args.what]
+    _require(args, required, args.what)
+    params = {f: getattr(args, f) for f in required + optional if getattr(args, f) is not None}
+    value = closed_form(**params)
+    print(json.dumps({"what": args.what, "params": params, "value": value}))
     return 0
 
 
@@ -208,39 +178,42 @@ def _parse_ns(text: str) -> list[int]:
         raise _UsageError(f"--ns must be comma-separated integers, got {text!r}") from None
 
 
+# --name -> (required flags, run(args, seed) -> ExperimentReport).  The
+# lambdas look the experiment functions up as module globals at call time,
+# so a caller that replaces one of them here (a tracer, say) is honoured.
+_EXPERIMENTS = {
+    "window-prob": (
+        ["h", "delta"],
+        lambda a, seed: estimate_window_probability(a.h, a.delta, a.trials, seed),
+    ),
+    "clique-count": (
+        ["n", "k", "delta"],
+        lambda a, seed: estimate_clique_count(a.n, a.k, a.delta, a.trials, seed),
+    ),
+    "threshold": (
+        ["ns", "delta"],
+        lambda a, seed: threshold_sweep(_parse_ns(a.ns), a.delta, a.trials, _solver_config(a), seed),
+    ),
+    "interval-width": (
+        ["n", "delta"],
+        lambda a, seed: interval_width_experiment(a.n, a.delta, a.trials, _solver_config(a), seed),
+    ),
+    "reduction": (
+        ["n", "delta"],
+        lambda a, seed: reduction_experiment(a.n, a.delta, a.trials, _solver_config(a), seed),
+    ),
+    "conjecture2": (
+        ["n", "delta"],
+        lambda a, seed: conjecture2_probe(a.n, a.delta, a.trials, _solver_config(a), seed),
+    ),
+}
+
+
 def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args.seed)
-    name = args.name
-    if name == "window-prob":
-        _require(args, ["h", "delta"], name)
-        report = estimate_window_probability(args.h, args.delta, args.trials, seed)
-    elif name == "clique-count":
-        _require(args, ["n", "k", "delta"], name)
-        report = estimate_clique_count(args.n, args.k, args.delta, args.trials, seed)
-    else:
-        cfg = _solver_config(args)
-        if name == "threshold":
-            if args.ns is None:
-                raise _UsageError("threshold requires --ns")
-            if args.delta_scaling == "fixed":
-                _require(args, ["delta"], name)
-            report = threshold_sweep(
-                _parse_ns(args.ns),
-                args.delta if args.delta is not None else 0.0,
-                args.trials,
-                cfg,
-                seed,
-                delta_scaling=args.delta_scaling,
-            )
-        elif name == "interval-width":
-            _require(args, ["n", "delta"], name)
-            report = interval_width_experiment(args.n, args.delta, args.trials, cfg, seed)
-        elif name == "reduction":
-            _require(args, ["n", "delta"], name)
-            report = reduction_experiment(args.n, args.delta, args.trials, cfg, seed)
-        else:  # conjecture2
-            _require(args, ["n", "delta"], name)
-            report = conjecture2_probe(args.n, args.delta, args.trials, cfg, seed)
+    required, run = _EXPERIMENTS[args.name]
+    _require(args, required, args.name)
+    report = run(args, seed)
     csv_path, json_path = report.write(args.outdir)
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     if args.format == "csv":

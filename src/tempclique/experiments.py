@@ -227,20 +227,29 @@ def estimate_clique_count(
     return ExperimentReport.from_trials("clique_count", params, records, extras)
 
 
-def _solver_trials(ns: list[int], trials: int, cfg: SolverConfig, seed: int, trial) -> list:
-    """Check a solver experiment's sizes, then run trial(n, t, s) for every n
-    in ns and t < trials, n-major.
+def _solver_trials(
+    name: str, ns: list[int], delta: float, trials: int, cfg: SolverConfig, seed: int, trial
+) -> list:
+    """Check the inputs of the solver experiment `name`, then run
+    trial(n, t, s) for every n in ns and t < trials, n-major.
 
-    Trial t at size n gets the seed s = derive_seed(derive_seed(seed, n), t),
-    so its record does not depend on which other sizes run.
+    The checks run in this order: trials >= 1, then 0 < delta < 1, then ns
+    (at least one n, no n repeated, every n >= 2, and the exact and
+    bruteforce guards).  Trial t at size n gets the seed
+    s = derive_seed(derive_seed(seed, n), t), so its record does not depend
+    on which other sizes run.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie strictly in (0, 1)")
     if not ns:
         raise ValueError("sweeps need at least one n")
     if len(set(ns)) != len(ns):
         raise ValueError(f"sweeps need distinct n values, got {ns}")
     for n in ns:
         if n < 2:
-            raise ValueError("threshold sweeps need n >= 2")
+            raise ValueError(f"{name} needs n >= 2")
         if cfg.mode == "exact" and n > EXACT_SWEEP_MAX_N:
             raise InfeasibleConfigError(
                 f"exact sweeps are guarded to n <= {EXACT_SWEEP_MAX_N}; "
@@ -263,51 +272,29 @@ def _solve_complete(n: int, delta: float, cfg: SolverConfig, s: int):
     return solve_max_delta_clique(tg, delta, cfg, seed=derive_seed(s, 1))
 
 
-def _sweep_delta(n: int, delta: float, delta_scaling: str) -> float:
-    if delta_scaling == "fixed":
-        return delta
-    # shrinking-window regime delta(n) = 1 / ln(ln(n)); exploratory only
-    return 1.0 / math.log(math.log(n))
-
-
 def threshold_sweep(
-    ns: list[int],
-    delta: float,
-    trials: int,
-    cfg: SolverConfig,
-    seed: int,
-    delta_scaling: str = "fixed",
+    ns: list[int], delta: float, trials: int, cfg: SolverConfig, seed: int
 ) -> ExperimentReport:
-    """Measure omega(n) against the threshold 2 ln n / ln(1/delta).
+    """Measure omega(n) against the threshold 2 ln n / ln(1/delta), for a
+    constant delta in (0, 1).
 
     One record per (n, trial) with the ratio omega/k0 as the value, plus
     per-trial band indicators omega <= ceil(1.25 k0) and omega >= floor(0.5
     k0).  Trials truncated by a time budget keep optimal = 0 so callers can
     exclude them from upper-bound assertions (a truncated omega still lower-
-    bounds the true one).  delta_scaling="invloglog" replaces the fixed delta
-    with delta(n) = 1/ln(ln n) (needs n >= 16); this regime is exploratory
-    and carries no band guarantees.
+    bounds the true one).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if delta_scaling not in ("fixed", "invloglog"):
-        raise ValueError("delta_scaling must be 'fixed' or 'invloglog'")
-    if delta_scaling == "fixed" and not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly in (0, 1)")
     ns = [int(n) for n in ns]
-    if delta_scaling == "invloglog" and any(n < 16 for n in ns):
-        raise ValueError("invloglog scaling needs n >= 16 to keep delta < 1")
 
     def trial(n: int, t: int, s: int) -> dict:
-        d = _sweep_delta(n, delta, delta_scaling)
-        res = _solve_complete(n, d, cfg, s)
+        res = _solve_complete(n, delta, cfg, s)
         omega = res.clique.size
-        k0 = k0_threshold(n, d)
+        k0 = k0_threshold(n, delta)
         return {
             "n": n,
             "trial": t,
             "seed": s,
-            "delta": d,
+            "delta": delta,
             "value": omega / k0,
             "omega": omega,
             "k0": k0,
@@ -316,15 +303,8 @@ def threshold_sweep(
             "optimal": res.optimal,
         }
 
-    records = _solver_trials(ns, trials, cfg, seed, trial)
-    params = {
-        "ns": ns,
-        "delta": delta,
-        "trials": trials,
-        "seed": seed,
-        "mode": cfg.mode,
-        "delta_scaling": delta_scaling,
-    }
+    records = _solver_trials("threshold", ns, delta, trials, cfg, seed, trial)
+    params = {"ns": ns, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
     extras = {
         "median_omega": {
             str(n): float(np.median([r["omega"] for r in records if r["n"] == n]))
@@ -334,9 +314,7 @@ def threshold_sweep(
             str(n): float(np.median([r["value"] for r in records if r["n"] == n]))
             for n in ns
         },
-        "k0": {
-            str(n): k0_threshold(n, _sweep_delta(n, delta, delta_scaling)) for n in ns
-        },
+        "k0": {str(n): k0_threshold(n, delta) for n in ns},
     }
     return ExperimentReport.from_trials("threshold_sweep", params, records, extras)
 
@@ -345,10 +323,6 @@ def interval_width_experiment(
     n: int, delta: float, trials: int, cfg: SolverConfig, seed: int
 ) -> ExperimentReport:
     """Distribution of the optimum clique's label-interval width, as a share of delta."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly in (0, 1)")
 
     def trial(n: int, t: int, s: int) -> dict:
         res = _solve_complete(n, delta, cfg, s)
@@ -362,7 +336,7 @@ def interval_width_experiment(
             "optimal": res.optimal,
         }
 
-    records = _solver_trials([n], trials, cfg, seed, trial)
+    records = _solver_trials("interval-width", [n], delta, trials, cfg, seed, trial)
     params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
     extras = {"median_ratio": float(np.median([r["value"] for r in records]))}
     return ExperimentReport.from_trials("interval_width", params, records, extras)
@@ -437,10 +411,6 @@ def reduction_experiment(
     witness reaches), and how the witness compares to a greedy static clique
     of the base.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly in (0, 1)")
 
     def trial(n: int, t: int, s: int) -> dict:
         planted, res = _solve_planted(n, delta, "half", cfg, s)
@@ -462,7 +432,7 @@ def reduction_experiment(
             "optimal": res.optimal,
         }
 
-    records = _solver_trials([n], trials, cfg, seed, trial)
+    records = _solver_trials("reduction", [n], delta, trials, cfg, seed, trial)
     params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
     return ExperimentReport.from_trials("reduction", params, records)
 
@@ -479,10 +449,6 @@ def conjecture2_probe(
     of the normalized endpoints against uniform[0, 1] (None when no trial
     has a normalized endpoint) — reported, never asserted.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly in (0, 1)")
 
     def trial(n: int, t: int, s: int) -> dict:
         planted, res = _solve_planted(n, delta, "full", cfg, s)
@@ -500,7 +466,7 @@ def conjecture2_probe(
             "optimal": res.optimal,
         }
 
-    records = _solver_trials([n], trials, cfg, seed, trial)
+    records = _solver_trials("conjecture2", [n], delta, trials, cfg, seed, trial)
     lefts = [r["value"] for r in records]
     normalized = [
         r["normalized_left"]

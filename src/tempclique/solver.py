@@ -40,11 +40,13 @@ from .seeds import derive_seed
 
 BRUTEFORCE_MAX_N = 20
 
-# Heuristic search effort: anchored windows searched, local-search rounds and
-# plateau moves per restart, and the size of the pool each greedy step picks
-# from.  Tuned on complete instances with n = 1000, delta = 0.5 (they reliably
-# reach size >= 12 there); smaller instances are insensitive to them.
+# Heuristic search effort: anchored windows searched, greedy restarts per
+# window, local-search rounds and plateau moves per restart, and the size of
+# the pool each greedy step picks from.  Tuned on complete instances with
+# n = 1000, delta = 0.5 (they reliably reach size >= 12 there); smaller
+# instances are insensitive to them.
 _ANCHORS = 24
+_RESTARTS = 8
 _IMPROVE_ROUNDS = 120
 _PLATEAU_MOVES = 30
 _GREEDY_POOL = 3
@@ -58,20 +60,18 @@ class InfeasibleConfigError(ValueError):
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by the solve entry points; restarts is the heuristic's
-    number of greedy restarts per anchored window."""
+    """Knobs shared by the solve entry points: the solver mode, and an
+    optional wall-time budget in seconds (None runs unbudgeted; NaN is
+    rejected, since no elapsed time compares against it)."""
 
     mode: str = "exact"
     time_budget: float | None = None
-    restarts: int = 8
 
     def __post_init__(self) -> None:
         if self.mode not in _VALID_MODES:
             raise ValueError(f"mode must be one of {_VALID_MODES}")
-        if self.time_budget is not None and self.time_budget < 0:
+        if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError("time_budget must be nonnegative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -388,14 +388,10 @@ def _pick_anchor_rows(counts: np.ndarray, cap: int) -> np.ndarray:
     m = counts.size
     if m <= cap:
         return np.arange(m)
+    # m > cap, so the slice edges are strictly increasing and so are the picks
     edges = np.linspace(0, m, cap + 1).astype(int)
-    picks = []
-    for j in range(cap):
-        lo, hi = edges[j], edges[j + 1]
-        if lo >= hi:
-            continue
-        picks.append(lo + int(np.argmax(counts[lo:hi])))
-    return np.unique(np.array(picks, dtype=np.int64))
+    picks = [lo + int(np.argmax(counts[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.array(picks, dtype=np.int64)
 
 
 def _greedy_in_window(W: np.ndarray, deg: np.ndarray, rng: np.random.Generator) -> list[int]:
@@ -509,7 +505,7 @@ def max_delta_clique_heuristic(
             # those up to the last label of the anchor's window
             W = (L >= slab[ai]) & (L <= slab[ai + counts[ai] - 1])
             deg = W.sum(1)
-            for _ in range(cfg.restarts):
+            for _ in range(_RESTARTS):
                 rng = np.random.default_rng(derive_seed(seed, rng_counter))
                 rng_counter += 1
                 c = _greedy_in_window(W, deg, rng)

@@ -179,6 +179,42 @@ def test_analyze_overlap_bound(capsys):
     assert json.loads(out)["value"] == pytest.approx(32 / 63, rel=1e-12)
 
 
+# stdout of one run of each `analyze --what` variant, byte for byte: the
+# params keys, their order and the value's repr are all part of the output.
+PINNED_ANALYZE = [
+    (
+        "--what k0 --n 1000 --delta 0.5",
+        '{"what": "k0", "params": {"n": 1000, "delta": 0.5}, "value": 19.931568569324174}',
+    ),
+    (
+        "--what window-prob --h 7 --delta 0.35",
+        '{"what": "window-prob", "params": {"h": 7, "delta": 0.35}, "value": 0.009007501562499997}',
+    ),
+    (
+        "--what expected-count --n 100 --k 6 --delta 0.3",
+        '{"what": "expected-count", "params": {"n": 100, "k": 6, "delta": 0.3}, "value": 615.7673649621644}',
+    ),
+    (
+        "--what overlap-bound --n 200 --k 8 --delta 0.4",
+        '{"what": "overlap-bound", "params": {"n": 200, "k": 8, "delta": 0.4}, "value": 0.6763627435517489}',
+    ),
+    (
+        "--what density --m 5 --x 0.5",
+        '{"what": "density", "params": {"m": 5, "x": 0.5}, "value": 0.3125}',
+    ),
+    (
+        "--what density --m 4 --x 0.3 --y 0.9",
+        '{"what": "density", "params": {"m": 4, "x": 0.3, "y": 0.9}, "value": 4.320000000000001}',
+    ),
+]
+
+
+def test_analyze_output_is_pinned(capsys):
+    for args, line in PINNED_ANALYZE:
+        code, out, err = run_cli(capsys, "analyze", *args.split())
+        assert (code, out, err) == (0, line + "\n", ""), args
+
+
 def test_analyze_rejects_out_of_range_parameters(capsys):
     """The closed forms validate their own parameters; the CLI reports them."""
     for argv in (
@@ -304,15 +340,42 @@ def test_experiment_requires_flags(tmp_path, capsys):
     assert "requires" in err
 
 
-def test_experiment_invloglog_scaling(tmp_path, capsys):
-    code, out, _ = run_cli(
+@pytest.mark.parametrize("name", ["threshold", "interval-width", "reduction", "conjecture2"])
+def test_experiment_rejects_n_below_two_by_name(tmp_path, capsys, name):
+    size = "--ns" if name == "threshold" else "--n"
+    code, out, err = run_cli(
         capsys,
-        "experiment", "--name", "threshold", "--ns", "20,30", "--trials", "1",
-        "--seed", "4", "--outdir", str(tmp_path), "--delta-scaling", "invloglog",
-        "--format", "csv",
+        "experiment", "--name", name, size, "1", "--delta", "0.3",
+        "--trials", "2", "--seed", "1", "--outdir", str(tmp_path),
     )
-    assert code == 0
-    assert len(out.splitlines()) == 3
+    assert (code, out, err) == (1, "", f"error: {name} needs n >= 2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_threshold_lists_every_missing_flag(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "experiment", "--name", "threshold", "--trials", "2",
+        "--seed", "1", "--outdir", str(tmp_path),
+    )
+    assert (code, err) == (1, "usage error: threshold requires --ns, --delta\n")
+
+
+def test_solve_rejects_nan_budget(tmp_path, capsys):
+    """NaN compares false against everything, so it would read as no budget."""
+    path = tmp_path / "g.json"
+    run_cli(capsys, "generate", "--n", "10", "--seed", "1", "--out", str(path))
+    code, out, err = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3", "--budget-secs", "nan")
+    assert (code, out, err) == (1, "", "error: time_budget must be nonnegative\n")
+
+
+def test_experiment_rejects_nan_budget(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys,
+        "experiment", "--name", "threshold", "--ns", "20", "--delta", "0.3", "--trials", "1",
+        "--seed", "1", "--outdir", str(tmp_path), "--budget-secs", "nan",
+    )
+    assert (code, out, err) == (1, "", "error: time_budget must be nonnegative\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_script_is_installed():

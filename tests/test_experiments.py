@@ -179,16 +179,6 @@ def test_threshold_sweep_guards():
     assert len(rep.trials) == 1
 
 
-def test_threshold_sweep_invloglog_scaling():
-    rep = threshold_sweep(
-        [20, 40], 0.0, 1, SolverConfig(mode="exact"), seed=3, delta_scaling="invloglog"
-    )
-    for t in rep.trials:
-        assert t["delta"] == pytest.approx(1.0 / math.log(math.log(t["n"])), rel=1e-12)
-    with pytest.raises(ValueError):
-        threshold_sweep([10], 0.0, 1, SolverConfig(mode="exact"), seed=3, delta_scaling="invloglog")
-
-
 # ------------------------------------------------------------- interval width
 
 
@@ -297,9 +287,8 @@ def test_conjecture2_probe_reports_histogram_and_ks():
 # ------------------------------------------------------------- pinned outputs
 
 # CSV sha256 of one small run of each `tempclique experiment` name, plus a
-# heuristic and an invloglog threshold run.  A record is a pure function of
-# (params, seed, i), so any change to these digests changes what the
-# experiments compute.
+# heuristic threshold run.  A record is a pure function of (params, seed, i),
+# so any change to these digests changes what the experiments compute.
 PINNED_CSV = {
     "window-prob": (
         "--name window-prob --h 5 --delta 0.4 --trials 200 --seed 1",
@@ -316,10 +305,6 @@ PINNED_CSV = {
     "threshold-heuristic": (
         "--name threshold --ns 60 --delta 0.5 --trials 2 --mode heuristic --seed 4",
         "9c8af1a5f971a717ee9a4ff99365441542d248323ff4e9e68d805a906525fd1f",
-    ),
-    "threshold-invloglog": (
-        "--name threshold --ns 20,30 --trials 2 --delta-scaling invloglog --seed 5",
-        "3f55ca9ae5e5acbc305026ea384d3aaad1e3f0ef906d3ef3ae79319f950ed061",
     ),
     "interval-width": (
         "--name interval-width --n 30 --delta 0.4 --trials 4 --seed 6",

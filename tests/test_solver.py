@@ -233,9 +233,11 @@ def test_heuristic_is_deterministic_per_seed():
     assert a.clique == b.clique
 
 
-def test_heuristic_tracks_bruteforce_within_one():
-    """On n <= 12 the heuristic should land within 1 of optimal >= 95% of runs."""
-    cfg = SolverConfig(mode="heuristic", restarts=2)
+def test_heuristic_tracks_bruteforce_within_one(monkeypatch):
+    """On n <= 12 the heuristic should land within 1 of optimal >= 95% of runs,
+    even with 2 restarts per window in place of the default 8."""
+    monkeypatch.setattr(solver_module, "_RESTARTS", 2)
+    cfg = SolverConfig(mode="heuristic")
     total, close = 0, 0
     for i in range(100):
         n = 8 + (i % 5)
@@ -297,7 +299,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(time_budget=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(restarts=0)
+        SolverConfig(time_budget=float("nan"))
 
 
 # --------------------------------------------------- relabeled search witness

@@ -1,0 +1,344 @@
+/* Exact maximum delta-temporal clique: the anchored-window sweep and its
+ * branch and bound on uint64_t word bitsets.
+ *
+ * tempclique.solver builds this file with one `gcc -O2 -shared -fPIC` call
+ * on first use and calls it through ctypes.  It must not be built with
+ * -ffast-math: the window test `x - t <= delta` has to round exactly as the
+ * same test in `delta_clique_check` does.
+ *
+ * Vertices are 0..n-1 (the vertices that carry an edge); a bitset has
+ * W = ceil(n / 64) words and adj holds n of them, one per bit position.
+ * Every function that allocates returns -1 when memory runs out.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
+
+/* Indices into the int64 counter array the caller passes. */
+enum {
+    ST_ANCHORS,         /* anchors scanned */
+    ST_SKIP_EDGES,      /* anchors skipped: too few window edges for a larger clique */
+    ST_SKIP_CANDIDATES, /* anchors skipped: too few common neighbours */
+    ST_NODES,           /* branch-and-bound nodes */
+    ST_COLORINGS,       /* greedy colorings */
+    ST_RELABELS,        /* renumberings by descending window degree */
+    ST_BUDGET_HIT,      /* 1 when the sweep stopped at the deadline */
+    ST_COUNT
+};
+
+typedef struct {
+    int64_t W;
+    uint64_t *adj;
+    int64_t best;      /* incumbent size */
+    int64_t *best_set; /* its bit positions, when this search found it */
+    int64_t *rstack;   /* bit positions of the clique being extended */
+    uint64_t *pool;    /* bitsets: depth d uses words [d W, (d + 1) W) */
+    size_t pool_words;
+    int32_t *order;    /* (vertex, color) pairs of the colorings, stacked by depth */
+    size_t order_len;
+    int has_deadline;
+    double deadline;
+    int timed_out;
+    int64_t *stats;
+} Search;
+
+static double now(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
+static int64_t popcount(const uint64_t *x, int64_t W) {
+    int64_t c = 0;
+    for (int64_t j = 0; j < W; j++) c += __builtin_popcountll(x[j]);
+    return c;
+}
+
+static int reserve(void **buf, size_t *cap, size_t need, size_t item) {
+    if (need <= *cap) return 0;
+    size_t cap2 = *cap ? *cap : 64;
+    while (cap2 < need) cap2 *= 2;
+    void *p = realloc(*buf, cap2 * item);
+    if (!p) return -1;
+    *buf = p;
+    *cap = cap2;
+    return 0;
+}
+
+/* Tomita-style branch and bound over the candidates at depth d of the pool,
+ * extending the rsize vertices on rstack.  The candidates lie in words
+ * lo..hi-1 and number at most maxk.  Greedy coloring takes color classes in
+ * ascending bit order; pair i of `order` is the i-th colored vertex and its
+ * color, an upper bound on a clique among the first i + 1.  Vertices are
+ * tried from the last colored one down. */
+static int expand(Search *S, int64_t d, size_t off, int64_t rsize, int64_t lo, int64_t hi, int64_t maxk) {
+    const int64_t W = S->W;
+    const uint64_t *const adj = S->adj;
+    int64_t *stats = S->stats;
+    stats[ST_NODES]++;
+    if (S->has_deadline) {
+        if (!(stats[ST_NODES] & 1023) && now() > S->deadline) S->timed_out = 1;
+        if (S->timed_out) return 0;
+    }
+    stats[ST_COLORINGS]++;
+    /* depths d + 1 and d + 2 hold the coloring's scratch sets until the
+     * children reuse d + 1 */
+    if (reserve((void **)&S->pool, &S->pool_words, (size_t)(d + 3) * W, sizeof(uint64_t)) ||
+        reserve((void **)&S->order, &S->order_len, off + 2 * (size_t)maxk, sizeof(int32_t)))
+        return -1;
+    uint64_t *P = S->pool + d * W, *rest = P + W, *Q = P + 2 * W;
+    int32_t *order = S->order + off;
+    for (int64_t x = lo; x < hi; x++) rest[x] = P[x];
+    int64_t k = 0, first = lo;
+    int32_t color = 0;
+    for (;;) {
+        while (first < hi && !rest[first]) first++;
+        if (first == hi) break;
+        color++;
+        for (int64_t x = first; x < hi; x++) Q[x] = rest[x];
+        for (int64_t j = first;;) {
+            uint64_t qj = 0;
+            while (j < hi && !(qj = Q[j])) j++;
+            if (j == hi) break;
+            const int64_t w = j * 64 + __builtin_ctzll(qj);
+            const uint64_t *aw = adj + w * W;
+            rest[j] &= ~(qj & -qj);
+            Q[j] = qj & (qj - 1) & ~aw[j];
+            for (int64_t x = j + 1; x < hi; x++) Q[x] &= ~aw[x];
+            order[2 * k] = (int32_t)w;
+            order[2 * k + 1] = color;
+            k++;
+        }
+    }
+    for (int64_t i = k - 1; i >= 0; i--) {
+        /* a child may have moved the pools */
+        order = S->order + off;
+        if (rsize + order[2 * i + 1] <= S->best) return 0;
+        const int64_t w = order[2 * i];
+        const uint64_t *aw = adj + w * W;
+        P = S->pool + d * W;
+        uint64_t *child = P + W;
+        int64_t clo = hi, chi = lo;
+        for (int64_t x = lo; x < hi; x++) {
+            if ((child[x] = P[x] & aw[x])) {
+                if (clo == hi) clo = x;
+                chi = x + 1;
+            }
+        }
+        S->rstack[rsize] = w;
+        if (chi > clo) {
+            if (expand(S, d + 1, off + 2 * (size_t)k, rsize + 1, clo, chi, i)) return -1;
+            P = S->pool + d * W;
+        } else if (rsize + 1 > S->best) {
+            S->best = rsize + 1;
+            memcpy(S->best_set, S->rstack, (rsize + 1) * sizeof(int64_t));
+        }
+        P[w >> 6] &= ~(1ULL << (w & 63));
+        if (S->timed_out) return 0;
+    }
+    return 0;
+}
+
+/* Search the cliques through the edge (p, q) that beat the incumbent; the
+ * candidates are the common neighbours of p and q. */
+static int search_anchor(Search *S, int64_t p, int64_t q) {
+    if (reserve((void **)&S->pool, &S->pool_words, 3 * (size_t)S->W, sizeof(uint64_t))) return -1;
+    const uint64_t *ap = S->adj + p * S->W, *aq = S->adj + q * S->W;
+    int64_t lo = S->W, hi = 0, k = 0;
+    for (int64_t x = 0; x < S->W; x++) {
+        if ((S->pool[x] = ap[x] & aq[x])) {
+            if (lo == S->W) lo = x;
+            hi = x + 1;
+            k += __builtin_popcountll(S->pool[x]);
+        }
+    }
+    S->rstack[0] = p;
+    S->rstack[1] = q;
+    return hi > lo ? expand(S, 0, 0, 2, lo, hi, k) : 0;
+}
+
+static void set_edge(Search *S, int64_t p, int64_t q) {
+    S->adj[p * S->W + (q >> 6)] |= 1ULL << (q & 63);
+    S->adj[q * S->W + (p >> 6)] |= 1ULL << (p & 63);
+}
+
+static void clear_edge(Search *S, int64_t p, int64_t q) {
+    S->adj[p * S->W + (q >> 6)] &= ~(1ULL << (q & 63));
+    S->adj[q * S->W + (p >> 6)] &= ~(1ULL << (p & 63));
+}
+
+/* Rebuild adj from the window's edges lo..hi-1, with vertex v at bit pos[v]. */
+static void build_window(Search *S, int64_t n, const int64_t *su, const int64_t *sv,
+                         int64_t lo, int64_t hi, const int64_t *pos) {
+    memset(S->adj, 0, (size_t)n * S->W * sizeof(uint64_t));
+    for (int64_t e = lo; e < hi; e++) set_edge(S, pos[su[e]], pos[sv[e]]);
+}
+
+/* Renumber bit positions by descending window degree, ties by vertex id. */
+static int relabel(Search *S, int64_t n, int64_t *pos, int64_t *inv) {
+    int64_t *deg = malloc((size_t)n * sizeof(int64_t));
+    int64_t *start = calloc((size_t)n + 1, sizeof(int64_t));
+    if (!deg || !start) {
+        free(deg);
+        free(start);
+        return -1;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        deg[v] = popcount(S->adj + pos[v] * S->W, S->W);
+        start[n - 1 - deg[v]]++; /* degrees lie in 0..n-1; bucket 0 is the densest */
+    }
+    for (int64_t b = 0, at = 0; b <= n - 1; b++) {
+        int64_t c = start[b];
+        start[b] = at;
+        at += c;
+    }
+    for (int64_t v = 0; v < n; v++) inv[start[n - 1 - deg[v]]++] = v;
+    for (int64_t p = 0; p < n; p++) pos[inv[p]] = p;
+    free(deg);
+    free(start);
+    return 0;
+}
+
+static int search_init(Search *S, int64_t n, int has_deadline, double deadline, int64_t *stats) {
+    memset(S, 0, sizeof *S);
+    S->W = (n + 63) / 64;
+    S->has_deadline = has_deadline;
+    S->deadline = deadline;
+    S->stats = stats;
+    S->adj = calloc((size_t)n * S->W + 1, sizeof(uint64_t));
+    S->best_set = malloc(((size_t)n + 2) * sizeof(int64_t));
+    S->rstack = malloc(((size_t)n + 2) * sizeof(int64_t));
+    return S->adj && S->best_set && S->rstack ? 0 : -1;
+}
+
+static void search_free(Search *S) {
+    free(S->adj);
+    free(S->best_set);
+    free(S->rstack);
+    free(S->pool);
+    free(S->order);
+}
+
+/* The anchored-window sweep over edges sorted by label (su, sv, slab).
+ *
+ * The window anchored at edge a holds the edges e >= a with
+ * slab[e] - slab[a] <= delta; only cliques through edge a are searched
+ * there.  The search runs on bit positions renumbered by descending window
+ * degree whenever the nodes since the last renumbering reach the window's
+ * edge count.  After a full sweep, the anchor where the incumbent last grew
+ * is searched again with bit positions equal to vertex ids, from the size
+ * the incumbent had before it, so the witness is that of an id-order sweep.
+ *
+ * Writes the witness (vertex numbers) to `witness`, which holds n entries,
+ * and returns its size: 0 when the deadline passed before the first anchor.
+ * stats receives ST_COUNT counters.  Returns -1 when memory runs out. */
+int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, const double *slab,
+                 double delta, int has_deadline, double deadline, int64_t *witness, int64_t *stats) {
+    Search S;
+    int64_t *pos = malloc((size_t)n * sizeof(int64_t));
+    int64_t *inv = malloc((size_t)n * sizeof(int64_t));
+    int64_t size = -1;
+    memset(stats, 0, ST_COUNT * sizeof(int64_t));
+    if (search_init(&S, n, has_deadline, deadline, stats) || !pos || !inv) goto done;
+    for (int64_t v = 0; v < n; v++) pos[v] = inv[v] = v;
+    S.best = 1;
+    size = 0;
+    int64_t hi = 0, relabeled_at = 0;
+    int64_t grown = -1, grown_hi = 0, grown_before = 0;
+    for (int64_t a = 0; a < m; a++) {
+        const double t = slab[a];
+        while (hi < m && slab[hi] - t <= delta) {
+            set_edge(&S, pos[su[hi]], pos[sv[hi]]);
+            hi++;
+        }
+        if (a > 0) clear_edge(&S, pos[su[a - 1]], pos[sv[a - 1]]);
+        if (has_deadline && now() > deadline) {
+            stats[ST_BUDGET_HIT] = 1;
+            break;
+        }
+        stats[ST_ANCHORS]++;
+        if (S.best < 2) {
+            S.best = size = 2;
+            witness[0] = su[a];
+            witness[1] = sv[a];
+        }
+        /* a clique of size best + 1 needs C(best + 1, 2) window edges */
+        if (hi - a < (S.best + 1) * S.best / 2) {
+            stats[ST_SKIP_EDGES]++;
+            continue;
+        }
+        if (stats[ST_NODES] - relabeled_at >= hi - a) {
+            if (relabel(&S, n, pos, inv)) goto fail;
+            build_window(&S, n, su, sv, a, hi, pos);
+            relabeled_at = stats[ST_NODES];
+            stats[ST_RELABELS]++;
+        }
+        const int64_t p = pos[su[a]], q = pos[sv[a]];
+        const uint64_t *ap = S.adj + p * S.W, *aq = S.adj + q * S.W;
+        int64_t common = 0;
+        for (int64_t x = 0; x < S.W; x++) common += __builtin_popcountll(ap[x] & aq[x]);
+        if (common + 2 <= S.best) {
+            stats[ST_SKIP_CANDIDATES]++;
+            continue;
+        }
+        const int64_t before = S.best;
+        if (search_anchor(&S, p, q)) goto fail;
+        if (S.best > before) {
+            for (int64_t i = 0; i < S.best; i++) witness[i] = inv[S.best_set[i]];
+            size = S.best;
+            grown = a;
+            grown_hi = hi;
+            grown_before = before;
+        }
+        if (S.timed_out) {
+            stats[ST_BUDGET_HIT] = 1;
+            break;
+        }
+    }
+    if (grown >= 0 && !stats[ST_BUDGET_HIT]) {
+        for (int64_t v = 0; v < n; v++) pos[v] = v;
+        build_window(&S, n, su, sv, grown, grown_hi, pos);
+        S.best = grown_before;
+        if (search_anchor(&S, su[grown], sv[grown])) goto fail;
+        if (!S.timed_out) {
+            memcpy(witness, S.best_set, S.best * sizeof(int64_t));
+            size = S.best;
+        }
+    }
+    goto done;
+fail:
+    size = -1;
+done:
+    search_free(&S);
+    free(pos);
+    free(inv);
+    return size;
+}
+
+/* Maximum clique of the static graph with edges (u[e], v[e]), searched
+ * from every vertex as a candidate against an incumbent of size `best`.
+ * Writes a larger clique to `witness` (n entries) and returns its size, or
+ * returns 0 when none beats the incumbent; -1 when memory runs out. */
+int64_t tc_max_clique(int64_t n, int64_t m, const int64_t *u, const int64_t *v, int64_t best,
+                      int64_t *witness, int64_t *stats) {
+    Search S;
+    int64_t size = -1;
+    memset(stats, 0, ST_COUNT * sizeof(int64_t));
+    if (search_init(&S, n, 0, 0.0, stats) ||
+        reserve((void **)&S.pool, &S.pool_words, 3 * (size_t)S.W, sizeof(uint64_t)))
+        goto done;
+    for (int64_t e = 0; e < m; e++) set_edge(&S, u[e], v[e]);
+    memset(S.pool, 0, S.W * sizeof(uint64_t));
+    for (int64_t x = 0; x < n; x++) S.pool[x >> 6] |= 1ULL << (x & 63);
+    S.best = best;
+    if (expand(&S, 0, 0, 0, 0, S.W, n)) goto done;
+    size = 0;
+    if (S.best > best) {
+        memcpy(witness, S.best_set, S.best * sizeof(int64_t));
+        size = S.best;
+    }
+done:
+    search_free(&S);
+    return size;
+}

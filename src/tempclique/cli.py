@@ -1,8 +1,9 @@
 """Command-line interface: generate / solve / analyze / experiment.
 
 Exit codes: 0 on success, 1 on usage or input errors (bad flags, malformed
-files, out-of-range parameters), 2 on infeasible configurations (guards like
-bruteforce beyond n = 20 or exact sweeps beyond n = 300).
+files, out-of-range parameters, flags the chosen experiment does not read),
+2 on infeasible configurations (guards like bruteforce beyond n = 20 or exact
+sweeps beyond n = 1000, or no gcc to build the exact solver's kernel).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--delta", type=float)
     p_ex.add_argument("--trials", type=int, required=True)
     p_ex.add_argument("--seed", type=int, default=None, help="master seed (fresh one printed to stderr if omitted)")
-    p_ex.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
+    p_ex.add_argument("--mode", choices=("exact", "heuristic"), help="solver mode (default: exact)")
     p_ex.add_argument(
         "--threads",
         type=int,
@@ -125,7 +126,7 @@ def _cmd_generate(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(mode=args.mode, time_budget=args.budget_secs)
+    return SolverConfig(mode=args.mode or "exact", time_budget=args.budget_secs)
 
 
 def _cmd_solve(args) -> int:
@@ -178,41 +179,58 @@ def _parse_ns(text: str) -> list[int]:
         raise _UsageError(f"--ns must be comma-separated integers, got {text!r}") from None
 
 
-# --name -> (required flags, run(args, seed) -> ExperimentReport).  The
-# lambdas look the experiment functions up as module globals at call time,
-# so a caller that replaces one of them here (a tracer, say) is honoured.
+# --name -> (required flags, optional flags, run(args, seed) -> ExperimentReport).
+# Any other experiment flag that is set is a usage error.  The lambdas look
+# the experiment functions up as module globals at call time, so a caller
+# that replaces one of them here (a tracer, say) is honoured.
+_SOLVER_FLAGS = ["mode", "budget_secs"]
 _EXPERIMENTS = {
     "window-prob": (
         ["h", "delta"],
+        [],
         lambda a, seed: estimate_window_probability(a.h, a.delta, a.trials, seed),
     ),
     "clique-count": (
         ["n", "k", "delta"],
+        [],
         lambda a, seed: estimate_clique_count(a.n, a.k, a.delta, a.trials, seed),
     ),
     "threshold": (
         ["ns", "delta"],
+        _SOLVER_FLAGS,
         lambda a, seed: threshold_sweep(_parse_ns(a.ns), a.delta, a.trials, _solver_config(a), seed),
     ),
     "interval-width": (
         ["n", "delta"],
+        _SOLVER_FLAGS,
         lambda a, seed: interval_width_experiment(a.n, a.delta, a.trials, _solver_config(a), seed),
     ),
     "reduction": (
         ["n", "delta"],
+        _SOLVER_FLAGS,
         lambda a, seed: reduction_experiment(a.n, a.delta, a.trials, _solver_config(a), seed),
     ),
     "conjecture2": (
         ["n", "delta"],
+        _SOLVER_FLAGS,
         lambda a, seed: conjecture2_probe(a.n, a.delta, a.trials, _solver_config(a), seed),
     ),
 }
+# The experiment flags that only some experiments read.
+_EXPERIMENT_FLAGS = ["n", "ns", "k", "h", *_SOLVER_FLAGS]
 
 
 def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args.seed)
-    required, run = _EXPERIMENTS[args.name]
+    required, optional, run = _EXPERIMENTS[args.name]
     _require(args, required, args.name)
+    unread = [
+        "--" + f.replace("_", "-")
+        for f in _EXPERIMENT_FLAGS
+        if f not in required + optional and getattr(args, f) is not None
+    ]
+    if unread:
+        raise _UsageError(f"{args.name} does not read {', '.join(unread)}")
     report = run(args, seed)
     csv_path, json_path = report.write(args.outdir)
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)

@@ -46,7 +46,7 @@ from .solver import (
     static_max_clique,
 )
 
-EXACT_SWEEP_MAX_N = 300
+EXACT_SWEEP_MAX_N = 1000
 CLIQUE_COUNT_MAX_SUBSETS = 10**6
 _SUBSET_CHUNK = 100_000
 

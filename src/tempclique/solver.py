@@ -13,6 +13,11 @@ window.
   bitsets use bit positions renumbered from time to time by descending
   window degree, which tightens the coloring bounds; the witness is then
   re-derived in vertex-id order, so it equals that of an id-order search.
+  The sweep and the B&B run in the C kernel `_sweep.c`, which also serves
+  `static_max_clique`; it is built with gcc on the first exact or static
+  solve into `__pycache__/` next to this file and loaded with ctypes.
+  Without gcc, or without a writable cache directory, those solves raise
+  InfeasibleConfigError.
 * heuristic: randomized greedy plus (1,2)-swap local search over a spread of
   anchored windows, vectorized with numpy; valid but not necessarily optimal.
 
@@ -24,9 +29,14 @@ returned clique is always sound.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
 import time
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -76,72 +86,96 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A witnessed clique plus run metadata."""
+    """A witnessed clique plus run metadata; `stats` holds the exact
+    kernel's search counters (`STAT_NAMES`) and is empty for other modes."""
 
     clique: CliqueResult
     optimal: bool
     mode: str
     wall_time: float
+    stats: dict = field(default_factory=dict)
 
 
-class _SearchState:
-    __slots__ = ("best_size", "best", "deadline", "timed_out", "nodes")
-
-    def __init__(self, best_size: int, deadline: float | None):
-        self.best_size = best_size
-        self.best: tuple[int, ...] | None = None
-        self.deadline = deadline
-        self.timed_out = False
-        self.nodes = 0  # B&B nodes visited
-
-
-def _color_order(adj: list[int], P: int) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set P; vertices sorted by color class.
-
-    bounds[i] is an upper bound on the largest clique inside order[:i + 1].
-    """
-    order: list[int] = []
-    bounds: list[int] = []
-    color = 0
-    rest = P
-    while rest:
-        color += 1
-        Q = rest
-        while Q:
-            b = Q & -Q
-            w = b.bit_length() - 1
-            rest ^= b
-            Q = (Q ^ b) & ~adj[w]
-            order.append(w)
-            bounds.append(color)
-    return order, bounds
+# The counters the kernel fills, in the order of its ST_* indices.
+STAT_NAMES = (
+    "anchors",
+    "skipped_by_edges",
+    "skipped_by_candidates",
+    "nodes",
+    "colorings",
+    "relabels",
+    "budget_hit",
+)
+_KERNEL_SOURCE = Path(__file__).with_name("_sweep.c")
+_COMPILER = ("gcc", "-O2", "-shared", "-fPIC")
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+# the kernel's adjacency is n rows of ceil(n / 64) words
+_KERNEL_MAX_BYTES = 1 << 30
+_kernel = None
+_i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_SIGNATURES = {
+    "tc_sweep": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_double,
+                 ctypes.c_int, ctypes.c_double, _i64, _i64],
+    "tc_max_clique": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, ctypes.c_int64, _i64, _i64],
+}
 
 
-def _expand(adj: list[int], P: int, rstack: list[int], state: _SearchState) -> None:
-    """Tomita-style branch and bound over candidates P extending clique rstack."""
-    state.nodes += 1
-    if state.deadline is not None:
-        if not state.nodes & 1023 and time.perf_counter() > state.deadline:
-            state.timed_out = True
-        if state.timed_out:
-            return
-    rsize = len(rstack)
-    order, bounds = _color_order(adj, P)
-    for i in range(len(order) - 1, -1, -1):
-        if rsize + bounds[i] <= state.best_size:
-            return
-        w = order[i]
-        rstack.append(w)
-        newP = P & adj[w]
-        if newP:
-            _expand(adj, newP, rstack, state)
-        elif rsize + 1 > state.best_size:
-            state.best_size = rsize + 1
-            state.best = tuple(rstack)
-        rstack.pop()
-        P &= ~(1 << w)
-        if state.timed_out:
-            return
+def _load_kernel() -> ctypes.CDLL:
+    """The compiled `_sweep.c`, built on first use into a cache file named by
+    the sha256 of the source and the compiler command."""
+    global _kernel
+    if _kernel is not None:
+        return _kernel
+    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_COMPILER).encode())
+    lib = _CACHE_DIR / f"_sweep-{key.hexdigest()[:16]}.so"
+    try:
+        if not lib.exists():
+            _CACHE_DIR.mkdir(exist_ok=True)
+            # build under a temporary name, so a concurrent first use never
+            # loads a half-written library
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE_DIR)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [*_COMPILER, "-o", tmp, str(_KERNEL_SOURCE)],
+                    check=True,
+                    capture_output=True,
+                    text=True,
+                )
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = exc.stderr.strip() if isinstance(exc, subprocess.CalledProcessError) else exc
+        raise InfeasibleConfigError(
+            f"the exact solver needs gcc to build its kernel {_KERNEL_SOURCE.name} "
+            f"into {_CACHE_DIR}: {detail}"
+        ) from None
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(kernel, name)
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int64
+    _kernel = kernel
+    return kernel
+
+
+def _run_kernel(name: str, n: int, m: int, *args) -> tuple[list[int], dict]:
+    """Call kernel function `name` on n vertices and m edges; return the
+    witness it wrote (empty when it wrote none) and its counters."""
+    if n * ((n + 63) // 64) * 8 > _KERNEL_MAX_BYTES:
+        raise InfeasibleConfigError(
+            f"the exact solver's bitsets for {n} vertices that carry an edge "
+            f"exceed {_KERNEL_MAX_BYTES >> 20} MiB"
+        )
+    witness = np.empty(n, dtype=np.int64)
+    counters = np.zeros(len(STAT_NAMES), dtype=np.int64)
+    size = getattr(_load_kernel(), name)(n, m, *args, witness, counters)
+    if size < 0:
+        raise MemoryError(f"{name} ran out of memory")
+    return witness[:size].tolist(), dict(zip(STAT_NAMES, counters.tolist()))
 
 
 def greedy_static_clique(g: StaticGraph) -> tuple[int, ...]:
@@ -166,13 +200,11 @@ def greedy_static_clique(g: StaticGraph) -> tuple[int, ...]:
 
 
 def static_max_clique(g: StaticGraph) -> tuple[int, ...]:
-    """Sorted vertices of a maximum clique of a static graph (branch and bound
-    with coloring, seeded with the greedy clique)."""
-    state = _SearchState(0, None)
-    state.best = greedy_static_clique(g)
-    state.best_size = len(state.best)
-    _expand(g.adjacency_masks, (1 << g.n) - 1, [], state)
-    return tuple(sorted(state.best))
+    """Sorted vertices of a maximum clique of a static graph (the kernel's
+    branch and bound over every vertex, seeded with the greedy clique)."""
+    best = greedy_static_clique(g)
+    witness, _ = _run_kernel("tc_max_clique", g.n, g.m, g.u, g.v, len(best))
+    return tuple(sorted(witness or best))
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
@@ -241,26 +273,10 @@ def max_delta_clique_bruteforce(tg: TemporalGraph, delta: float) -> CliqueResult
     return CliqueResult(best_verts, best_size, best_lo, best_hi)
 
 
-def _window_masks(
-    n: int, su: list[int], sv: list[int], lo: int, hi: int, pos: list[int]
-) -> list[int]:
-    """Bitset adjacency of the window of sorted edges lo..hi-1, with vertex v
-    at bit pos[v]."""
-    bit = [1 << p for p in pos]
-    by_vertex = [0] * n
-    for a, b in zip(su[lo:hi], sv[lo:hi]):
-        by_vertex[a] |= bit[b]
-        by_vertex[b] |= bit[a]
-    adj = [0] * n
-    for v, p in enumerate(pos):
-        adj[p] = by_vertex[v]
-    return adj
-
-
 def max_delta_clique_exact(
     tg: TemporalGraph, delta: float, config: SolverConfig | None = None
 ) -> SolveResult:
-    """Exact solver via the anchored-window sweep.
+    """Exact solver via the anchored-window sweep of the compiled kernel.
 
     Any delta-clique's smallest internal label is itself an edge label, so
     sweeping the closed windows [label(e), label(e) + delta] over all edges e
@@ -275,84 +291,41 @@ def max_delta_clique_exact(
     after each anchor does not depend on the numbering, so once the sweep has
     finished, the anchor where the incumbent last grew is searched again in
     vertex-id order from the size it had before; that yields the same witness
-    as an id-order sweep.
+    as an id-order sweep.  The result's `stats` holds the kernel's counters
+    (`STAT_NAMES`).
     """
     cfg = config or SolverConfig(mode="exact")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     t_start = time.perf_counter()
-    m = tg.m
-    deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
     best: tuple[int, ...] = (0,)
-    optimal = True
-    if m > 0:
+    stats = dict.fromkeys(STAT_NAMES, 0)
+    if tg.m > 0:
         # search the vertices that carry an edge, renumbered 0..n-1 in id
         # order so nothing is sized by tg.n; witnesses map back through ids
         ids = np.unique(np.concatenate((tg.u, tg.v)))
-        n = ids.size
         order = np.argsort(tg.labels, kind="stable")
         # renumber before reordering: sorted needles bisect several times faster
-        su = np.searchsorted(ids, tg.u)[order].tolist()
-        sv = np.searchsorted(ids, tg.v)[order].tolist()
-        slab = tg.labels[order].tolist()
-        ident = list(range(n))
-        pos = inv = ident  # bit position of each vertex, vertex at each position
-        adj = [0] * n
-        hi = 0
-        state = _SearchState(1, deadline)
-        relabeled_at = 0  # state.nodes at the last relabel
-        grown = None  # (anchor, window end, incumbent size before) of the last growth
-        for a in range(m):
-            # delta_clique_check's predicate: the window holds the labels x
-            # with x - t <= delta; float subtraction is monotone in x
-            t = slab[a]
-            while hi < m and slab[hi] - t <= delta:
-                p, q = pos[su[hi]], pos[sv[hi]]
-                adj[p] |= 1 << q
-                adj[q] |= 1 << p
-                hi += 1
-            if a > 0:
-                p, q = pos[su[a - 1]], pos[sv[a - 1]]
-                adj[p] &= ~(1 << q)
-                adj[q] &= ~(1 << p)
-            if deadline is not None and time.perf_counter() > deadline:
-                optimal = False
-                break
-            u0, v0 = su[a], sv[a]
-            if state.best_size < 2:
-                state.best_size = 2
-                best = (int(ids[u0]), int(ids[v0]))
-            # a clique of size s+1 needs C(s+1, 2) edges inside the window
-            if hi - a < comb(state.best_size + 1, 2):
-                continue
-            if state.nodes - relabeled_at >= hi - a:
-                inv = sorted(ident, key=lambda v: (-adj[pos[v]].bit_count(), v))
-                pos = [0] * n
-                for p, v in enumerate(inv):
-                    pos[v] = p
-                adj = _window_masks(n, su, sv, a, hi, pos)
-                relabeled_at = state.nodes
-            p, q = pos[u0], pos[v0]
-            cands = adj[p] & adj[q]
-            if cands.bit_count() + 2 <= state.best_size:
-                continue
-            before = state.best_size
-            _expand(adj, cands, [p, q], state)
-            if state.best_size > before:
-                best = tuple(ids[[inv[p] for p in state.best]].tolist())
-                grown = (a, hi, before)
-            if state.timed_out:
-                optimal = False
-                break
-        if grown is not None and optimal:
-            a, hi, before = grown
-            adj = _window_masks(n, su, sv, a, hi, ident)
-            rederive = _SearchState(before, deadline)
-            _expand(adj, adj[su[a]] & adj[sv[a]], [su[a], sv[a]], rederive)
-            if not rederive.timed_out:
-                best = tuple(ids[list(rederive.best)].tolist())
+        su = np.searchsorted(ids, tg.u)[order]
+        sv = np.searchsorted(ids, tg.v)[order]
+        deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
+        witness, stats = _run_kernel(
+            "tc_sweep",
+            ids.size,
+            tg.m,
+            su,
+            sv,
+            tg.labels[order],
+            delta,
+            deadline is not None,
+            deadline or 0.0,
+        )
+        if witness:
+            best = tuple(ids[witness].tolist())
     witness = delta_clique_check(tg, best, delta)
-    return SolveResult(witness, optimal, "exact", time.perf_counter() - t_start)
+    return SolveResult(
+        witness, not stats["budget_hit"], "exact", time.perf_counter() - t_start, stats
+    )
 
 
 def _window_counts(slab: np.ndarray, delta: float) -> np.ndarray:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from tempclique import solver as solver_module
 from tempclique.cli import main
+from tempclique.experiments import EXACT_SWEEP_MAX_N
 from tempclique.io import read_temporal_graph
 
 
@@ -324,11 +326,49 @@ def test_experiment_rejects_repeated_or_missing_n(tmp_path, capsys, ns, problem)
 def test_experiment_infeasible_exit_code(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,
-        "experiment", "--name", "threshold", "--ns", "500", "--delta", "0.3",
+        "experiment", "--name", "threshold", "--ns", str(EXACT_SWEEP_MAX_N + 1), "--delta", "0.3",
         "--trials", "2", "--seed", "1", "--outdir", str(tmp_path),
     )
     assert code == 2
     assert "infeasible" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, flags, unread",
+    [
+        ("window-prob", ["--h", "2", "--delta", "0.5", "--budget-secs", "-1"], "--budget-secs"),
+        ("window-prob", ["--h", "2", "--delta", "0.5", "--budget-secs", "nan"], "--budget-secs"),
+        ("window-prob", ["--h", "2", "--delta", "0.5", "--mode", "heuristic"], "--mode"),
+        ("clique-count", ["--n", "6", "--k", "3", "--delta", "0.4", "--mode", "exact"], "--mode"),
+        ("clique-count", ["--n", "6", "--k", "3", "--delta", "0.4", "--h", "2"], "--h"),
+        ("threshold", ["--ns", "20", "--n", "30", "--delta", "0.3"], "--n"),
+        ("interval-width", ["--n", "20", "--ns", "30", "--delta", "0.3"], "--ns"),
+        ("reduction", ["--n", "20", "--k", "3", "--delta", "0.3"], "--k"),
+        ("conjecture2", ["--n", "20", "--ns", "20,30", "--delta", "0.3"], "--ns"),
+    ],
+)
+def test_experiment_rejects_flags_it_does_not_read(tmp_path, capsys, name, flags, unread):
+    code, out, err = run_cli(
+        capsys,
+        "experiment", "--name", name, *flags, "--trials", "100", "--seed", "1",
+        "--outdir", str(tmp_path),
+    )
+    assert (code, out, err) == (1, "", f"usage error: {name} does not read {unread}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_without_gcc_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.json"
+    run_cli(capsys, "generate", "--n", "10", "--seed", "1", "--out", str(path))
+    monkeypatch.setattr(solver_module, "_kernel", None)
+    monkeypatch.setattr(solver_module, "_CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(solver_module, "_COMPILER", ("tempclique-no-such-cc", "-O2", "-shared", "-fPIC"))
+    code, out, err = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3")
+    assert (code, out) == (2, "")
+    assert err.startswith("infeasible: the exact solver needs gcc to build its kernel _sweep.c")
+    code, out, _ = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3", "--mode", "heuristic")
+    assert code == 0 and json.loads(out)["mode"] == "heuristic"
 
 
 def test_experiment_requires_flags(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from tempclique.analytics import window_probability
 from tempclique.cli import main
 from tempclique.experiments import (
+    EXACT_SWEEP_MAX_N,
     ExperimentReport,
     build_planted_instance,
     conjecture2_probe,
@@ -169,13 +170,13 @@ def test_threshold_sweep_seeds_do_not_depend_on_ns_list():
 
 def test_threshold_sweep_guards():
     with pytest.raises(InfeasibleConfigError):
-        threshold_sweep([500], 0.3, 2, SolverConfig(mode="exact"), seed=1)
+        threshold_sweep([EXACT_SWEEP_MAX_N + 1], 0.3, 2, SolverConfig(mode="exact"), seed=1)
     with pytest.raises(InfeasibleConfigError):
         threshold_sweep([10], 0.3, 2, SolverConfig(mode="bruteforce"), seed=1)
     with pytest.raises(ValueError):
         threshold_sweep([20], 1.5, 2, SolverConfig(mode="exact"), seed=1)
     # heuristic misses the n quard
-    rep = threshold_sweep([350], 0.3, 1, SolverConfig(mode="heuristic"), seed=1)
+    rep = threshold_sweep([EXACT_SWEEP_MAX_N + 1], 0.3, 1, SolverConfig(mode="heuristic"), seed=1)
     assert len(rep.trials) == 1
 
 

@@ -5,6 +5,7 @@ The exact solver is checked against subset enumeration on small instances
 Bron-Kerbosch enumeration — an independent implementation family.
 """
 
+import re
 from math import comb
 
 import numpy as np
@@ -32,8 +33,6 @@ from tempclique.solver import (
     max_delta_clique_heuristic,
     solve_max_delta_clique,
     static_max_clique,
-    _expand,
-    _SearchState,
 )
 
 
@@ -119,6 +118,20 @@ def test_static_max_clique_matches_bron_kerbosch():
         verts = static_max_clique(g)
         assert len(verts) == want
         # witness must actually be a clique
+        assert all(g.has_edge(a, b) for i2, a in enumerate(verts) for b in verts[i2 + 1 :])
+
+
+@pytest.mark.parametrize("n", [65, 100, 130])
+def test_static_max_clique_matches_bron_kerbosch_beyond_one_word(n):
+    """Graphs wider than one 64-bit word, dense and sparse."""
+    for i in range(10):
+        p = (0.25, 0.5)[i % 2]
+        g = generate_er(n, p, derive_seed(6565, n * 10 + i))
+        gx = nx.Graph()
+        gx.add_nodes_from(range(g.n))
+        gx.add_edges_from(g.edge_list())
+        verts = static_max_clique(g)
+        assert len(verts) == max(len(c) for c in nx.find_cliques(gx))
         assert all(g.has_edge(a, b) for i2, a in enumerate(verts) for b in verts[i2 + 1 :])
 
 
@@ -215,6 +228,93 @@ def test_exact_equals_bruteforce_property(n, seed, delta):
     assert max_delta_clique_exact(tg, delta).clique.size == max_delta_clique_bruteforce(tg, delta).size
 
 
+# -------------------------------------------------------------------- kernel
+
+
+def test_exact_stats_count_the_search():
+    tg = generate_random_complete(60, 9)
+    res = max_delta_clique_exact(tg, 0.3)
+    stats = res.stats
+    assert tuple(stats) == solver_module.STAT_NAMES
+    assert stats["anchors"] == tg.m and stats["budget_hit"] == 0
+    assert stats["skipped_by_edges"] > 0 and stats["skipped_by_candidates"] > 0
+    assert stats["skipped_by_edges"] + stats["skipped_by_candidates"] < stats["anchors"]
+    assert stats["nodes"] >= stats["colorings"] > 0
+    assert max_delta_clique_exact(tg, 0.3).stats == stats
+
+
+def test_exact_stats_flag_a_hit_budget():
+    res = max_delta_clique_exact(
+        generate_random_complete(30, 1), 0.5, SolverConfig(mode="exact", time_budget=0.0)
+    )
+    assert not res.optimal
+    assert res.stats["budget_hit"] == 1 and res.stats["anchors"] == 0
+
+
+def test_exact_budget_stops_inside_an_anchor_search():
+    """With every label equal, the first anchor's window is all of a dense
+    G(150, 0.9), whose search alone outlasts the budget: the B&B's clock
+    check every 1024 nodes has to stop it."""
+    g = generate_er(150, 0.9, 1)
+    tg = TemporalGraph(g.n, g.u, g.v, np.full(g.m, 0.5))
+    res = max_delta_clique_exact(tg, 0.0, SolverConfig(mode="exact", time_budget=0.2))
+    assert not res.optimal and res.stats["budget_hit"] == 1
+    assert res.stats["anchors"] == 1 and res.stats["colorings"] < res.stats["nodes"]
+    assert res.wall_time < 1.5
+    assert is_delta_clique(tg, res.clique.vertices, 0.0)
+
+
+def test_stats_are_empty_outside_exact_mode():
+    tg = generate_random_complete(9, 4)
+    for mode in ("bruteforce", "heuristic"):
+        assert solve_max_delta_clique(tg, 0.4, SolverConfig(mode=mode)).stats == {}
+
+
+@pytest.fixture
+def unbuilt_kernel(monkeypatch, tmp_path):
+    """Forget the loaded kernel and point its cache at an empty directory."""
+    monkeypatch.setattr(solver_module, "_kernel", None)
+    monkeypatch.setattr(solver_module, "_CACHE_DIR", tmp_path / "cache")
+    return tmp_path / "cache"
+
+
+def test_kernel_builds_into_a_keyed_cache_file(unbuilt_kernel):
+    res = max_delta_clique_exact(generate_random_complete(12, 3), 0.5)
+    assert res.optimal
+    names = [p.name for p in unbuilt_kernel.iterdir()]
+    assert len(names) == 1 and re.fullmatch(r"_sweep-[0-9a-f]{16}\.so", names[0])
+
+
+def test_missing_compiler_is_infeasible(unbuilt_kernel, monkeypatch):
+    monkeypatch.setattr(solver_module, "_COMPILER", ("tempclique-no-such-cc", "-O2", "-shared", "-fPIC"))
+    tg = generate_random_complete(8, 2)
+    with pytest.raises(InfeasibleConfigError, match="needs gcc"):
+        max_delta_clique_exact(tg, 0.5)
+    with pytest.raises(InfeasibleConfigError, match="needs gcc"):
+        static_max_clique(generate_er(8, 0.5, 2))
+    # the heuristic and bruteforce never build or load the kernel
+    max_delta_clique_heuristic(tg, 0.5, seed=0)
+    max_delta_clique_bruteforce(tg, 0.5)
+    assert solver_module._kernel is None
+    assert not unbuilt_kernel.exists() or not any(unbuilt_kernel.iterdir())
+
+
+def test_unwritable_kernel_cache_is_infeasible(unbuilt_kernel, monkeypatch):
+    blocker = unbuilt_kernel.parent / "a-file"
+    blocker.write_text("")
+    monkeypatch.setattr(solver_module, "_CACHE_DIR", blocker / "cache")
+    with pytest.raises(InfeasibleConfigError, match="needs gcc"):
+        max_delta_clique_exact(generate_random_complete(8, 2), 0.5)
+
+
+def test_exact_refuses_bitsets_beyond_the_memory_guard():
+    """100,000 vertices that carry an edge need 1.25 GB of window bitsets."""
+    u = np.arange(0, 100_000, 2)
+    tg = TemporalGraph(100_000, u, u + 1, np.full(u.size, 0.5))
+    with pytest.raises(InfeasibleConfigError, match="MiB"):
+        max_delta_clique_exact(tg, 0.5)
+
+
 # ----------------------------------------------------------------- heuristic
 
 
@@ -305,16 +405,66 @@ def test_solver_config_validation():
 # --------------------------------------------------- relabeled search witness
 
 
+class _SearchState:
+    __slots__ = ("best_size", "best")
+
+    def __init__(self, best_size: int):
+        self.best_size = best_size
+        self.best: tuple[int, ...] | None = None
+
+
+def _color_order(adj: list[int], P: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the candidate set P; vertices sorted by color class.
+
+    bounds[i] is an upper bound on the largest clique inside order[:i + 1].
+    """
+    order: list[int] = []
+    bounds: list[int] = []
+    color = 0
+    rest = P
+    while rest:
+        color += 1
+        Q = rest
+        while Q:
+            b = Q & -Q
+            w = b.bit_length() - 1
+            rest ^= b
+            Q = (Q ^ b) & ~adj[w]
+            order.append(w)
+            bounds.append(color)
+    return order, bounds
+
+
+def _expand(adj: list[int], P: int, rstack: list[int], state: _SearchState) -> None:
+    """Tomita-style branch and bound over candidates P extending clique rstack."""
+    rsize = len(rstack)
+    order, bounds = _color_order(adj, P)
+    for i in range(len(order) - 1, -1, -1):
+        if rsize + bounds[i] <= state.best_size:
+            return
+        w = order[i]
+        rstack.append(w)
+        newP = P & adj[w]
+        if newP:
+            _expand(adj, newP, rstack, state)
+        elif rsize + 1 > state.best_size:
+            state.best_size = rsize + 1
+            state.best = tuple(rstack)
+        rstack.pop()
+        P &= ~(1 << w)
+
+
 def id_order_sweep(tg, delta):
-    """The anchored-window sweep with bit positions equal to vertex ids: the
-    reference whose witness `max_delta_clique_exact` must reproduce."""
+    """The anchored-window sweep in pure Python with bit positions equal to
+    vertex ids: the reference whose witness `max_delta_clique_exact` must
+    reproduce."""
     order = np.argsort(tg.labels, kind="stable")
     su, sv = tg.u[order].tolist(), tg.v[order].tolist()
     slab = tg.labels[order].tolist()
     m = len(slab)
     adj = [0] * tg.n
     hi = 0
-    state = _SearchState(1, None)
+    state = _SearchState(1)
     state.best = (0,)
     for a in range(m):
         while hi < m and slab[hi] - slab[a] <= delta:
@@ -334,26 +484,42 @@ def id_order_sweep(tg, delta):
     return tuple(sorted(state.best))
 
 
-def test_exact_witness_matches_id_order_sweep(monkeypatch):
-    calls = []
-    window_masks = solver_module._window_masks
-
-    def counting(*args):
-        calls.append(args)
-        return window_masks(*args)
-
-    monkeypatch.setattr(solver_module, "_window_masks", counting)
+def test_exact_witness_matches_id_order_sweep():
     relabeled = 0
     for n in (20, 40, 80):
         for d in (0.5, 0.7, 0.9):
             tg = generate_random_complete(n, derive_seed(2404, n))
-            calls.clear()
             res = max_delta_clique_exact(tg, d)
             assert res.optimal
             assert res.clique.vertices == id_order_sweep(tg, d), (n, d)
-            # at most one call re-derives the witness; the others relabeled
-            relabeled += len(calls) > 1
+            relabeled += res.stats["relabels"] > 0
     assert relabeled >= 6
+
+
+def with_isolated_vertices(tg, extra, seed):
+    """tg's edges on n + extra vertices under a random vertex map, so that
+    some edge-carrying vertices get the highest ids and isolated ones fall
+    between them."""
+    perm = np.random.default_rng(seed).permutation(tg.n + extra).tolist()
+    return TemporalGraph.from_edges(
+        tg.n + extra, [(perm[a], perm[b], t) for a, b, t in tg.edge_list()]
+    )
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_exact_witness_matches_id_order_sweep_across_word_boundaries(n):
+    """Vertex counts on either side of the kernel's 64-bit word boundaries,
+    complete and sparse, the sparse ones with isolated vertices among and
+    above the ones that carry an edge."""
+    for i, d in enumerate((0.3, 0.6)):
+        s = derive_seed(6463, n * 2 + i)
+        for tg in (
+            generate_random_complete(n, s),
+            with_isolated_vertices(sparse_instance(n, 0.6, s), 40, s),
+        ):
+            res = max_delta_clique_exact(tg, d)
+            assert res.optimal
+            assert res.clique.vertices == id_order_sweep(tg, d), (n, d, tg.m)
 
 
 def test_window_predicate_boundary_triangle():

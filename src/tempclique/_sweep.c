@@ -1,14 +1,15 @@
-/* Exact maximum delta-temporal clique: the anchored-window sweep and its
- * branch and bound on uint64_t word bitsets.
+/* Maximum delta-temporal cliques on uint64_t word bitsets: the exact
+ * anchored-window sweep with its branch and bound, and the heuristic's
+ * randomized greedy and local search.
  *
  * tempclique.solver builds this file with one `gcc -O2 -shared -fPIC` call
  * on first use and calls it through ctypes.  It must not be built with
  * -ffast-math: the window test `x - t <= delta` has to round exactly as the
  * same test in `delta_clique_check` does.
  *
- * Vertices are 0..n-1 (the vertices that carry an edge); a bitset has
- * W = ceil(n / 64) words and adj holds n of them, one per bit position.
- * Every function that allocates returns -1 when memory runs out.
+ * Vertices are 0..n-1; a bitset has W = ceil(n / 64) words and adj holds n
+ * of them, one per bit position.  Every function that allocates returns -1
+ * when memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -340,5 +341,301 @@ int64_t tc_max_clique(int64_t n, int64_t m, const int64_t *u, const int64_t *v, 
     }
 done:
     search_free(&S);
+    return size;
+}
+
+/* numpy's bitgen_t (numpy/random/bitgen.h).  The heuristic's caller passes
+ * the address of each restart's Generator bit generator, so every draw
+ * advances numpy's own state, 32-bit buffering included. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* Generator.integers(k) for 1 <= k < 2^32: numpy's bounded 32-bit Lemire
+ * draw, which takes nothing from the stream when k == 1. */
+static int64_t draw(bitgen_t *g, int64_t k) {
+    if (k == 1) return 0;
+    const uint32_t bound = (uint32_t)k;
+    uint64_t x = (uint64_t)g->next_uint32(g->state) * bound;
+    if ((uint32_t)x < bound) {
+        const uint32_t threshold = (UINT32_MAX - (bound - 1)) % bound;
+        while ((uint32_t)x < threshold) x = (uint64_t)g->next_uint32(g->state) * bound;
+    }
+    return (int64_t)(x >> 32);
+}
+
+/* The heuristic's state in the current window.  The clique is kept as a
+ * list in the order the numpy version's Python list had: removals shift,
+ * additions append. */
+typedef struct {
+    Search S;           /* adj, W; best_set and best hold the incumbent */
+    int64_t n;
+    int64_t *deg;       /* window degrees */
+    int64_t *clique, k; /* the clique being built (S.rstack) and its size */
+    int64_t *cnt;       /* cnt[x]: clique members adjacent to x */
+    uint8_t *in_c;
+    uint64_t *cand;     /* W words */
+    uint64_t *mask;     /* W words, all zero between uses */
+    int64_t *buf[4];    /* n + 1 entries each */
+} Heur;
+
+static void add_row(Heur *H, int64_t v, int64_t d) {
+    const uint64_t *av = H->S.adj + v * H->S.W;
+    for (int64_t j = 0; j < H->S.W; j++)
+        for (uint64_t b = av[j]; b; b &= b - 1) H->cnt[j * 64 + __builtin_ctzll(b)] += d;
+}
+
+static void put(Heur *H, int64_t v) {
+    H->clique[H->k++] = v;
+    H->in_c[v] = 1;
+    add_row(H, v, 1);
+}
+
+static void remove_at(Heur *H, int64_t p) {
+    const int64_t v = H->clique[p];
+    memmove(H->clique + p, H->clique + p + 1, (size_t)(H->k - p - 1) * sizeof(int64_t));
+    H->k--;
+    H->in_c[v] = 0;
+    add_row(H, v, -1);
+}
+
+/* Randomized greedy: a random start vertex, then while candidates remain,
+ * a random one of those whose score reaches the pool-th largest score (with
+ * ties, in vertex order).  A candidate's score is its number of neighbours
+ * among the candidates while they number at most 96, else its window
+ * degree. */
+static void greedy(Heur *H, bitgen_t *g, int64_t pool) {
+    const int64_t W = H->S.W;
+    const uint64_t *adj = H->S.adj;
+    int64_t *idx = H->buf[0], *score = H->buf[1], *top = H->buf[2];
+    int64_t v = draw(g, H->n);
+    H->k = 0;
+    memcpy(H->cand, adj + v * W, (size_t)W * sizeof(uint64_t));
+    for (;;) {
+        H->clique[H->k++] = v;
+        int64_t c = 0;
+        for (int64_t j = 0; j < W; j++)
+            for (uint64_t b = H->cand[j]; b; b &= b - 1) idx[c++] = j * 64 + __builtin_ctzll(b);
+        if (!c) return;
+        /* top[0..p) holds the p largest scores so far, descending */
+        const int64_t p = c < pool ? c : pool;
+        for (int64_t i = 0; i < p; i++) top[i] = -1;
+        for (int64_t i = 0; i < c; i++) {
+            int64_t s = H->deg[idx[i]];
+            if (c <= 96) {
+                const uint64_t *ax = adj + idx[i] * W;
+                s = 0;
+                for (int64_t j = 0; j < W; j++) s += __builtin_popcountll(ax[j] & H->cand[j]);
+            }
+            score[i] = s;
+            int64_t at = p - 1;
+            if (s <= top[at]) continue;
+            for (; at > 0 && top[at - 1] < s; at--) top[at] = top[at - 1];
+            top[at] = s;
+        }
+        int64_t size = 0;
+        for (int64_t i = 0; i < c; i++)
+            if (score[i] >= top[p - 1]) idx[size++] = idx[i];
+        v = idx[draw(g, size)];
+        for (int64_t j = 0; j < W; j++) H->cand[j] &= adj[v * W + j];
+    }
+}
+
+/* Local search on the greedy clique, for at most `rounds` moves: add the
+ * addable vertex of largest window degree (the first on ties); else the
+ * first (1,2)-swap; else, `plateau` times per restart, a random (1,1)-swap.
+ * A near vertex is adjacent to all members but one; near vertices are
+ * grouped by the position of the member they miss, in position order, and
+ * a swap takes the row-major first edge inside the first group that has
+ * one, in place of that member. */
+static void improve(Heur *H, bitgen_t *g, int64_t rounds, int64_t plateau) {
+    const int64_t n = H->n, W = H->S.W;
+    const uint64_t *adj = H->S.adj;
+    int64_t *near = H->buf[0], *miss = H->buf[1], *grp = H->buf[2], *end = H->buf[3];
+    memset(H->in_c, 0, (size_t)n);
+    memset(H->cnt, 0, (size_t)n * sizeof(int64_t));
+    /* re-add the greedy clique in place, in order, to fill cnt and in_c */
+    const int64_t k0 = H->k;
+    H->k = 0;
+    for (int64_t i = 0; i < k0; i++) put(H, H->clique[i]);
+    for (int64_t r = 0; r < rounds; r++) {
+        const int64_t k = H->k;
+        int64_t add = -1, nn = 0;
+        for (int64_t x = 0; x < n; x++) {
+            if (H->in_c[x]) continue;
+            if (H->cnt[x] == k) {
+                if (add < 0 || H->deg[x] > H->deg[add]) add = x;
+            } else if (H->cnt[x] == k - 1) {
+                near[nn++] = x;
+            }
+        }
+        if (add >= 0) {
+            put(H, add);
+            continue;
+        }
+        if (!nn) break;
+        for (int64_t i = 0; i < nn; i++) {
+            const uint64_t *ax = adj + near[i] * W;
+            int64_t p = 0;
+            while (ax[H->clique[p] >> 6] >> (H->clique[p] & 63) & 1) p++;
+            miss[i] = p;
+        }
+        /* counting sort by missed position; group p is grp[end[p - 1]..end[p]) */
+        memset(end, 0, (size_t)k * sizeof(int64_t));
+        for (int64_t i = 0; i < nn; i++) end[miss[i]]++;
+        for (int64_t p = 0, at = 0; p < k; p++) {
+            at += end[p];
+            end[p] = at - end[p];
+        }
+        for (int64_t i = 0; i < nn; i++) grp[end[miss[i]]++] = near[i];
+        int64_t x = -1, y = -1, p = 0;
+        for (int64_t lo = 0; p < k; lo = end[p++]) {
+            if (end[p] - lo < 2) continue;
+            for (int64_t i = lo; i < end[p]; i++) H->mask[grp[i] >> 6] |= 1ULL << (grp[i] & 63);
+            for (int64_t i = lo; i < end[p] && y < 0; i++) {
+                const uint64_t *ax = adj + grp[i] * W;
+                for (int64_t j = 0; j < W; j++) {
+                    const uint64_t hit = ax[j] & H->mask[j];
+                    if (hit) {
+                        x = grp[i];
+                        y = j * 64 + __builtin_ctzll(hit);
+                        break;
+                    }
+                }
+            }
+            for (int64_t i = lo; i < end[p]; i++) H->mask[grp[i] >> 6] = 0;
+            if (y >= 0) break;
+        }
+        if (y >= 0) {
+            remove_at(H, p);
+            put(H, x);
+            put(H, y);
+            continue;
+        }
+        if (plateau > 0) {
+            plateau--;
+            const int64_t i = draw(g, nn);
+            remove_at(H, miss[i]);
+            put(H, near[i]);
+            continue;
+        }
+        break;
+    }
+}
+
+/* The number of entries of the nondecreasing x[0..len) below y, or at most
+ * y when `upto`. */
+static int64_t rank(const double *x, int64_t len, double y, int upto) {
+    int64_t lo = 0, hi = len;
+    while (lo < hi) {
+        const int64_t mid = (lo + hi) / 2;
+        if (x[mid] < y || (upto && x[mid] == y))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The heuristic over `windows` anchored windows: window j holds the edges
+ * whose label x has lo[j] <= x <= hi[j], and lo and hi are nondecreasing.
+ * In each, `restarts` runs of greedy plus local search, run r drawing from
+ * the bit generator at address gens[j * restarts + r].  The incumbent is
+ * replaced only by a strictly larger clique.  After each run the deadline,
+ * if any, is checked.
+ *
+ * An edge lies in windows enter..leave-1, where enter counts the windows
+ * that end below its label and leave those that start at or below it.
+ * Both grow with the label, so the segment enter + leave names one
+ * (enter, leave) pair; the edges are bucketed by segment once, and each
+ * window is the previous one plus and minus whole segments.
+ *
+ * Writes the incumbent in list order to `witness` (n entries) and returns
+ * its size; stats receives ST_BUDGET_HIT. */
+int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, const double *lab,
+                     int64_t windows, const double *lo, const double *hi, int64_t restarts,
+                     const uint64_t *gens, int64_t pool, int64_t rounds, int64_t plateau,
+                     int has_deadline, double deadline, int64_t *witness, int64_t *stats) {
+    Heur H;
+    int64_t size = -1;
+    const int64_t nseg = 2 * windows + 1;
+    memset(&H, 0, sizeof H);
+    memset(stats, 0, ST_COUNT * sizeof(int64_t));
+    H.n = n;
+    int ok = !search_init(&H.S, n, 0, 0.0, stats);
+    const int64_t W = H.S.W;
+    H.clique = H.S.rstack;
+    H.deg = malloc((size_t)n * sizeof(int64_t));
+    H.cnt = malloc((size_t)n * sizeof(int64_t));
+    H.in_c = malloc((size_t)n);
+    H.cand = malloc((size_t)W * sizeof(uint64_t));
+    H.mask = calloc((size_t)W, sizeof(uint64_t));
+    int32_t *seg = malloc((size_t)m * sizeof(int32_t));
+    int64_t *first = calloc((size_t)nseg + 1, sizeof(int64_t));
+    int64_t *enter = calloc((size_t)nseg, sizeof(int64_t));
+    int64_t *leave = calloc((size_t)nseg, sizeof(int64_t));
+    /* vertex numbers fit 32 bits: the caller caps the n x W-word adjacency */
+    uint32_t *pairs = malloc(2 * (size_t)m * sizeof(uint32_t));
+    ok = ok && H.deg && H.cnt && H.in_c && H.cand && H.mask && seg && first && enter && leave && pairs;
+    for (int i = 0; i < 4; i++) ok = ok && (H.buf[i] = malloc(((size_t)n + 1) * sizeof(int64_t)));
+    if (!ok) goto done;
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t a = rank(hi, windows, lab[e], 0), b = rank(lo, windows, lab[e], 1);
+        seg[e] = (int32_t)(a + b);
+        enter[a + b] = a;
+        leave[a + b] = b;
+        first[a + b + 1]++;
+    }
+    for (int64_t s = 0; s < nseg; s++) first[s + 1] += first[s];
+    for (int64_t e = 0; e < m; e++) {
+        const int64_t at = first[seg[e]]++;
+        pairs[2 * at] = (uint32_t)u[e];
+        pairs[2 * at + 1] = (uint32_t)v[e];
+    }
+    /* the fill advanced first[s] to the start of segment s + 1 */
+    for (int64_t s = nseg; s > 0; s--) first[s] = first[s - 1];
+    first[0] = 0;
+    H.S.best = 0;
+    for (int64_t j = 0; j < windows && !stats[ST_BUDGET_HIT]; j++) {
+        for (int64_t s = 0; s < nseg; s++) {
+            if (enter[s] == j && leave[s] > j)
+                for (int64_t e = first[s]; e < first[s + 1]; e++) set_edge(&H.S, pairs[2 * e], pairs[2 * e + 1]);
+            if (leave[s] == j && enter[s] < j)
+                for (int64_t e = first[s]; e < first[s + 1]; e++) clear_edge(&H.S, pairs[2 * e], pairs[2 * e + 1]);
+        }
+        for (int64_t x = 0; x < n; x++) H.deg[x] = popcount(H.S.adj + x * W, W);
+        for (int64_t r = 0; r < restarts; r++) {
+            bitgen_t *g = (bitgen_t *)(uintptr_t)gens[j * restarts + r];
+            greedy(&H, g, pool);
+            improve(&H, g, rounds, plateau);
+            if (H.k > H.S.best) {
+                H.S.best = H.k;
+                memcpy(H.S.best_set, H.clique, (size_t)H.k * sizeof(int64_t));
+            }
+            if (has_deadline && now() > deadline) {
+                stats[ST_BUDGET_HIT] = 1;
+                break;
+            }
+        }
+    }
+    memcpy(witness, H.S.best_set, (size_t)H.S.best * sizeof(int64_t));
+    size = H.S.best;
+done:
+    search_free(&H.S);
+    free(H.deg);
+    free(H.cnt);
+    free(H.in_c);
+    free(H.cand);
+    free(H.mask);
+    for (int i = 0; i < 4; i++) free(H.buf[i]);
+    free(seg);
+    free(first);
+    free(enter);
+    free(leave);
+    free(pairs);
     return size;
 }

@@ -1,9 +1,10 @@
 """Command-line interface: generate / solve / analyze / experiment.
 
 Exit codes: 0 on success, 1 on usage or input errors (bad flags, malformed
-files, out-of-range parameters, flags the chosen experiment does not read),
-2 on infeasible configurations (guards like bruteforce beyond n = 20 or exact
-sweeps beyond n = 1000, or no gcc to build the exact solver's kernel).
+files, out-of-range parameters, flags the chosen experiment or quantity does
+not read), 2 on infeasible configurations (guards like bruteforce beyond
+n = 20 or exact sweeps beyond n = 1000, or no gcc to build the exact and
+heuristic solvers' kernel).
 """
 
 from __future__ import annotations
@@ -106,10 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args: argparse.Namespace, names: list[str], context: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+def _check_flags(
+    args: argparse.Namespace, required: list[str], optional: list[str], flags: list[str], context: str
+) -> None:
+    """Require every flag in `required`; reject any other of `flags` that is
+    set and not in `optional`."""
+    missing = [f"--{n}" for n in required if getattr(args, n) is None]
     if missing:
         raise _UsageError(f"{context} requires {', '.join(missing)}")
+    unread = [
+        "--" + f.replace("_", "-")
+        for f in flags
+        if f not in required + optional and getattr(args, f) is not None
+    ]
+    if unread:
+        raise _UsageError(f"{context} does not read {', '.join(unread)}")
 
 
 def _cmd_generate(args) -> int:
@@ -148,7 +160,8 @@ def _cmd_solve(args) -> int:
 
 # --what -> (required flags, optional flags, closed form called with the
 # given flags as keywords).  The flags given, in this order, are the params
-# of the printed result.
+# of the printed result; any other of `_ANALYZE_FLAGS` that is set is a
+# usage error.
 _ANALYZE = {
     "window-prob": (["h", "delta"], [], window_probability),
     "expected-count": (["n", "k", "delta"], [], expected_clique_count),
@@ -163,9 +176,12 @@ _ANALYZE = {
 }
 
 
+_ANALYZE_FLAGS = ["n", "k", "delta", "h", "m", "x", "y"]
+
+
 def _cmd_analyze(args) -> int:
     required, optional, closed_form = _ANALYZE[args.what]
-    _require(args, required, args.what)
+    _check_flags(args, required, optional, _ANALYZE_FLAGS, args.what)
     params = {f: getattr(args, f) for f in required + optional if getattr(args, f) is not None}
     value = closed_form(**params)
     print(json.dumps({"what": args.what, "params": params, "value": value}))
@@ -223,14 +239,7 @@ _EXPERIMENT_FLAGS = ["n", "ns", "k", "h", *_SOLVER_FLAGS]
 def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args.seed)
     required, optional, run = _EXPERIMENTS[args.name]
-    _require(args, required, args.name)
-    unread = [
-        "--" + f.replace("_", "-")
-        for f in _EXPERIMENT_FLAGS
-        if f not in required + optional and getattr(args, f) is not None
-    ]
-    if unread:
-        raise _UsageError(f"{args.name} does not read {', '.join(unread)}")
+    _check_flags(args, required, optional, _EXPERIMENT_FLAGS, args.name)
     report = run(args, seed)
     csv_path, json_path = report.write(args.outdir)
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)

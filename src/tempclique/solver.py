@@ -14,12 +14,14 @@ window.
   window degree, which tightens the coloring bounds; the witness is then
   re-derived in vertex-id order, so it equals that of an id-order search.
   The sweep and the B&B run in the C kernel `_sweep.c`, which also serves
-  `static_max_clique`; it is built with gcc on the first exact or static
-  solve into `__pycache__/` next to this file and loaded with ctypes.
-  Without gcc, or without a writable cache directory, those solves raise
-  InfeasibleConfigError.
-* heuristic: randomized greedy plus (1,2)-swap local search over a spread of
-  anchored windows, vectorized with numpy; valid but not necessarily optimal.
+  `static_max_clique` and the heuristic; it is built with gcc on the first
+  exact, heuristic or static solve into `__pycache__/` next to this file and
+  loaded with ctypes.  Without gcc, or without a writable cache directory,
+  those solves raise InfeasibleConfigError.
+* heuristic: randomized greedy plus add, (1,2)-swap and plateau local search
+  over a spread of anchored windows, in the same kernel on bitsets of all n
+  vertices, drawing from numpy Generators it is handed; valid but not
+  necessarily optimal.
 
 Both sweeps admit a label x into the window anchored at t when x - t <= delta,
 the test `delta_clique_check` applies to a witness's interval.  All routes
@@ -54,7 +56,8 @@ BRUTEFORCE_MAX_N = 20
 # window, local-search rounds and plateau moves per restart, and the size of
 # the pool each greedy step picks from.  Tuned on complete instances with
 # n = 1000, delta = 0.5 (they reliably reach size >= 12 there); smaller
-# instances are insensitive to them.
+# instances are insensitive to them.  Each heuristic call reads them afresh
+# and hands them to the kernel.
 _ANCHORS = 24
 _RESTARTS = 8
 _IMPROVE_ROUNDS = 120
@@ -114,10 +117,14 @@ _KERNEL_MAX_BYTES = 1 << 30
 _kernel = None
 _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
 _SIGNATURES = {
     "tc_sweep": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_double,
                  ctypes.c_int, ctypes.c_double, _i64, _i64],
     "tc_max_clique": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, ctypes.c_int64, _i64, _i64],
+    "tc_heuristic": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_int64, _f64, _f64,
+                     ctypes.c_int64, _u64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                     ctypes.c_int, ctypes.c_double, _i64, _i64],
 }
 
 
@@ -151,8 +158,8 @@ def _load_kernel() -> ctypes.CDLL:
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = exc.stderr.strip() if isinstance(exc, subprocess.CalledProcessError) else exc
         raise InfeasibleConfigError(
-            f"the exact solver needs gcc to build its kernel {_KERNEL_SOURCE.name} "
-            f"into {_CACHE_DIR}: {detail}"
+            f"the exact and heuristic solvers' kernel {_KERNEL_SOURCE.name} needs gcc "
+            f"to build into {_CACHE_DIR}: {detail}"
         ) from None
     for name, argtypes in _SIGNATURES.items():
         fn = getattr(kernel, name)
@@ -167,8 +174,7 @@ def _run_kernel(name: str, n: int, m: int, *args) -> tuple[list[int], dict]:
     witness it wrote (empty when it wrote none) and its counters."""
     if n * ((n + 63) // 64) * 8 > _KERNEL_MAX_BYTES:
         raise InfeasibleConfigError(
-            f"the exact solver's bitsets for {n} vertices that carry an edge "
-            f"exceed {_KERNEL_MAX_BYTES >> 20} MiB"
+            f"the solver's bitsets for {n} vertices exceed {_KERNEL_MAX_BYTES >> 20} MiB"
         )
     witness = np.empty(n, dtype=np.int64)
     counters = np.zeros(len(STAT_NAMES), dtype=np.int64)
@@ -332,8 +338,7 @@ def _window_counts(slab: np.ndarray, delta: float) -> np.ndarray:
     """For sorted labels slab, counts[a] is the number of indices j >= a with
     slab[j] - slab[a] <= delta, the predicate of `delta_clique_check`.
 
-    Anchors go in blocks, so the temporaries stay small next to the
-    heuristic's n x n window matrices."""
+    Anchors go in blocks, so the temporaries stay small."""
     m, block = slab.size, 1 << 16
     counts = np.empty(m, dtype=np.int64)
     for lo in range(0, m, block):
@@ -367,133 +372,54 @@ def _pick_anchor_rows(counts: np.ndarray, cap: int) -> np.ndarray:
     return np.array(picks, dtype=np.int64)
 
 
-def _greedy_in_window(W: np.ndarray, deg: np.ndarray, rng: np.random.Generator) -> list[int]:
-    n = deg.size
-    start = int(rng.integers(n))
-    clique = [start]
-    cand = W[start].copy()
-    while True:
-        idxs = np.flatnonzero(cand)
-        if idxs.size == 0:
-            return clique
-        if idxs.size <= 96:
-            score = W[np.ix_(idxs, idxs)].sum(1)
-        else:
-            score = deg[idxs]
-        p = min(_GREEDY_POOL, idxs.size)
-        cutoff = np.partition(score, idxs.size - p)[idxs.size - p]
-        pool = idxs[score >= cutoff]
-        v = int(pool[rng.integers(pool.size)])
-        clique.append(v)
-        cand &= W[v]
-
-
-def _local_improve(
-    W: np.ndarray,
-    deg: np.ndarray,
-    clique: list[int],
-    rng: np.random.Generator,
-) -> list[int]:
-    """Add-moves, (1,2)-swaps, and bounded plateau (1,1)-swaps on the window graph."""
-    n = deg.size
-    in_c = np.zeros(n, dtype=bool)
-    in_c[clique] = True
-    cnt = W[clique].sum(0)
-    plateau_left = _PLATEAU_MOVES
-    for _ in range(_IMPROVE_ROUNDS):
-        k = len(clique)
-        addable = np.flatnonzero(~in_c & (cnt == k))
-        if addable.size:
-            v = int(addable[np.argmax(deg[addable])])
-            clique.append(v)
-            in_c[v] = True
-            cnt = cnt + W[v]
-            continue
-        near = np.flatnonzero(~in_c & (cnt == k - 1))
-        if near.size == 0:
-            break
-        mem = np.array(clique)
-        missed = np.argmin(W[np.ix_(near, mem)], axis=1)
-        swapped = False
-        for pos in np.unique(missed):
-            grp = near[missed == pos]
-            if grp.size < 2:
-                continue
-            hit = np.argwhere(W[np.ix_(grp, grp)])
-            if hit.size:
-                x, y = int(grp[hit[0][0]]), int(grp[hit[0][1]])
-                v = int(mem[pos])
-                clique.remove(v)
-                in_c[v] = False
-                clique.extend([x, y])
-                in_c[x] = in_c[y] = True
-                cnt = cnt - W[v] + W[x] + W[y]
-                swapped = True
-                break
-        if swapped:
-            continue
-        if plateau_left > 0:
-            plateau_left -= 1
-            x = int(near[rng.integers(near.size)])
-            v = int(mem[np.argmin(W[x, mem])])
-            clique.remove(v)
-            in_c[v] = False
-            clique.append(x)
-            in_c[x] = True
-            cnt = cnt - W[v] + W[x]
-            continue
-        break
-    return clique
-
-
 def max_delta_clique_heuristic(
     tg: TemporalGraph, delta: float, config: SolverConfig | None = None, seed: int = 0
 ) -> SolveResult:
     """Randomized greedy + local search; valid witness, no optimality claim.
 
-    Deterministic given (graph, delta, config, seed).
+    The kernel searches `_ANCHORS` windows spread over the label range, each
+    `_RESTARTS` times; restart i draws from a numpy Generator seeded with
+    derive_seed(seed, i), so the result is deterministic given (graph, delta,
+    config, seed).
     """
     cfg = config or SolverConfig(mode="heuristic")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     t_start = time.perf_counter()
-    n, m = tg.n, tg.m
-    if m == 0:
-        # no edges: a single vertex is trivially the optimum
-        witness = delta_clique_check(tg, (0,), delta)
-        return SolveResult(witness, True, "heuristic", time.perf_counter() - t_start)
-    L = np.full((n, n), np.nan)
-    L[tg.u, tg.v] = tg.labels
-    L[tg.v, tg.u] = tg.labels
-    slab = np.sort(tg.labels, kind="stable")
-    counts = _window_counts(slab, delta)
-    anchor_rows = _pick_anchor_rows(counts, _ANCHORS)
-    deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
     best: list[int] = []
-    rng_counter = 0
-    stop = False
-    with np.errstate(invalid="ignore"):
-        for ai in anchor_rows.tolist():
-            # the labels x >= t with x - t <= delta, for t = slab[ai], are
-            # those up to the last label of the anchor's window
-            W = (L >= slab[ai]) & (L <= slab[ai + counts[ai] - 1])
-            deg = W.sum(1)
-            for _ in range(_RESTARTS):
-                rng = np.random.default_rng(derive_seed(seed, rng_counter))
-                rng_counter += 1
-                c = _greedy_in_window(W, deg, rng)
-                c = _local_improve(W, deg, c, rng)
-                if len(c) > len(best):
-                    best = c
-                if deadline is not None and time.perf_counter() > deadline:
-                    stop = True
-                    break
-            if stop:
-                break
-    if not best:
-        best = [0]
-    witness = delta_clique_check(tg, sorted(best), delta)
-    return SolveResult(witness, False, "heuristic", time.perf_counter() - t_start)
+    if tg.m > 0:
+        slab = np.sort(tg.labels)
+        counts = _window_counts(slab, delta)
+        rows = _pick_anchor_rows(counts, _ANCHORS)
+        # the labels x >= t with x - t <= delta, for t = slab[a], are those
+        # up to the last label of the anchor's window
+        lo, hi = slab[rows], slab[rows + counts[rows] - 1]
+        gens = [np.random.default_rng(derive_seed(seed, i)) for i in range(rows.size * _RESTARTS)]
+        addresses = np.array(
+            [g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uint64
+        )
+        deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
+        best, _ = _run_kernel(
+            "tc_heuristic",
+            tg.n,
+            tg.m,
+            tg.u,
+            tg.v,
+            tg.labels,
+            rows.size,
+            lo,
+            hi,
+            _RESTARTS,
+            addresses,
+            _GREEDY_POOL,
+            _IMPROVE_ROUNDS,
+            _PLATEAU_MOVES,
+            deadline is not None,
+            deadline or 0.0,
+        )
+    # with no edges a single vertex is the optimum
+    witness = delta_clique_check(tg, sorted(best or [0]), delta)
+    return SolveResult(witness, tg.m == 0, "heuristic", time.perf_counter() - t_start)
 
 
 def solve_max_delta_clique(

@@ -217,6 +217,23 @@ def test_analyze_output_is_pinned(capsys):
         assert (code, out, err) == (0, line + "\n", ""), args
 
 
+@pytest.mark.parametrize(
+    "what, flags, unread",
+    [
+        ("k0", ["--n", "100", "--delta", "0.5", "--k", "3", "--x", "0.2"], "--k, --x"),
+        ("k0", ["--n", "100", "--delta", "0.5", "--h", "2"], "--h"),
+        ("window-prob", ["--h", "2", "--delta", "0.5", "--n", "10"], "--n"),
+        ("expected-count", ["--n", "10", "--k", "3", "--delta", "0.5", "--y", "0.9"], "--y"),
+        ("overlap-bound", ["--n", "10", "--k", "3", "--delta", "0.5", "--m", "4"], "--m"),
+        ("density", ["--m", "4", "--x", "0.3", "--delta", "0.5"], "--delta"),
+        ("density", ["--m", "4", "--x", "0.3", "--y", "0.9", "--n", "5", "--k", "2"], "--n, --k"),
+    ],
+)
+def test_analyze_rejects_flags_it_does_not_read(capsys, what, flags, unread):
+    code, out, err = run_cli(capsys, "analyze", "--what", what, *flags)
+    assert (code, out, err) == (1, "", f"usage error: {what} does not read {unread}\n")
+
+
 def test_analyze_rejects_out_of_range_parameters(capsys):
     """The closed forms validate their own parameters; the CLI reports them."""
     for argv in (
@@ -366,9 +383,11 @@ def test_solve_without_gcc_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver_module, "_COMPILER", ("tempclique-no-such-cc", "-O2", "-shared", "-fPIC"))
     code, out, err = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3")
     assert (code, out) == (2, "")
-    assert err.startswith("infeasible: the exact solver needs gcc to build its kernel _sweep.c")
-    code, out, _ = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3", "--mode", "heuristic")
-    assert code == 0 and json.loads(out)["mode"] == "heuristic"
+    assert err.startswith("infeasible: the exact and heuristic solvers' kernel _sweep.c needs gcc")
+    code, out, err = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3", "--mode", "heuristic")
+    assert (code, out) == (2, "") and err.startswith("infeasible:")
+    code, out, _ = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3", "--mode", "bruteforce")
+    assert code == 0 and json.loads(out)["mode"] == "bruteforce"
 
 
 def test_experiment_requires_flags(tmp_path, capsys):

@@ -292,8 +292,9 @@ def test_missing_compiler_is_infeasible(unbuilt_kernel, monkeypatch):
         max_delta_clique_exact(tg, 0.5)
     with pytest.raises(InfeasibleConfigError, match="needs gcc"):
         static_max_clique(generate_er(8, 0.5, 2))
-    # the heuristic and bruteforce never build or load the kernel
-    max_delta_clique_heuristic(tg, 0.5, seed=0)
+    with pytest.raises(InfeasibleConfigError, match="needs gcc"):
+        max_delta_clique_heuristic(tg, 0.5, seed=0)
+    # bruteforce never builds or loads the kernel
     max_delta_clique_bruteforce(tg, 0.5)
     assert solver_module._kernel is None
     assert not unbuilt_kernel.exists() or not any(unbuilt_kernel.iterdir())
@@ -313,6 +314,15 @@ def test_exact_refuses_bitsets_beyond_the_memory_guard():
     tg = TemporalGraph(100_000, u, u + 1, np.full(u.size, 0.5))
     with pytest.raises(InfeasibleConfigError, match="MiB"):
         max_delta_clique_exact(tg, 0.5)
+
+
+def test_heuristic_refuses_bitsets_beyond_the_memory_guard():
+    """The heuristic's windows span all n vertices, so the same graph is
+    refused before any window is built."""
+    u = np.arange(0, 100_000, 2)
+    tg = TemporalGraph(100_000, u, u + 1, np.full(u.size, 0.5))
+    with pytest.raises(InfeasibleConfigError, match="MiB"):
+        max_delta_clique_heuristic(tg, 0.5)
 
 
 # ----------------------------------------------------------------- heuristic
@@ -375,6 +385,156 @@ def test_heuristic_respects_time_budget():
     res = max_delta_clique_heuristic(tg, 0.5, cfg, seed=0)
     assert res.wall_time < 2.0
     assert is_delta_clique(tg, res.clique.vertices, 0.5)
+
+
+# ------------------------------------------------------ heuristic oracle
+
+
+def _greedy_in_window(W, deg, rng):
+    n = deg.size
+    start = int(rng.integers(n))
+    clique = [start]
+    cand = W[start].copy()
+    while True:
+        idxs = np.flatnonzero(cand)
+        if idxs.size == 0:
+            return clique
+        if idxs.size <= 96:
+            score = W[np.ix_(idxs, idxs)].sum(1)
+        else:
+            score = deg[idxs]
+        p = min(solver_module._GREEDY_POOL, idxs.size)
+        cutoff = np.partition(score, idxs.size - p)[idxs.size - p]
+        pool = idxs[score >= cutoff]
+        v = int(pool[rng.integers(pool.size)])
+        clique.append(v)
+        cand &= W[v]
+
+
+def _local_improve(W, deg, clique, rng):
+    n = deg.size
+    in_c = np.zeros(n, dtype=bool)
+    in_c[clique] = True
+    cnt = W[clique].sum(0)
+    plateau_left = solver_module._PLATEAU_MOVES
+    for _ in range(solver_module._IMPROVE_ROUNDS):
+        k = len(clique)
+        addable = np.flatnonzero(~in_c & (cnt == k))
+        if addable.size:
+            v = int(addable[np.argmax(deg[addable])])
+            clique.append(v)
+            in_c[v] = True
+            cnt = cnt + W[v]
+            continue
+        near = np.flatnonzero(~in_c & (cnt == k - 1))
+        if near.size == 0:
+            break
+        mem = np.array(clique)
+        missed = np.argmin(W[np.ix_(near, mem)], axis=1)
+        swapped = False
+        for pos in np.unique(missed):
+            grp = near[missed == pos]
+            if grp.size < 2:
+                continue
+            hit = np.argwhere(W[np.ix_(grp, grp)])
+            if hit.size:
+                x, y = int(grp[hit[0][0]]), int(grp[hit[0][1]])
+                v = int(mem[pos])
+                clique.remove(v)
+                in_c[v] = False
+                clique.extend([x, y])
+                in_c[x] = in_c[y] = True
+                cnt = cnt - W[v] + W[x] + W[y]
+                swapped = True
+                break
+        if swapped:
+            continue
+        if plateau_left > 0:
+            plateau_left -= 1
+            x = int(near[rng.integers(near.size)])
+            v = int(mem[np.argmin(W[x, mem])])
+            clique.remove(v)
+            in_c[v] = False
+            clique.append(x)
+            in_c[x] = True
+            cnt = cnt - W[v] + W[x]
+            continue
+        break
+    return clique
+
+
+def numpy_heuristic(tg, delta, seed):
+    """The heuristic on dense numpy window matrices, as it ran before the
+    kernel: the reference whose witness `max_delta_clique_heuristic` must
+    reproduce.  It shares the anchor choice and reads the effort constants
+    at call time."""
+    if tg.m == 0:
+        return (0,)
+    L = np.full((tg.n, tg.n), np.nan)
+    L[tg.u, tg.v] = tg.labels
+    L[tg.v, tg.u] = tg.labels
+    slab = np.sort(tg.labels)
+    counts = solver_module._window_counts(slab, delta)
+    best, rng_counter = [], 0
+    with np.errstate(invalid="ignore"):
+        for ai in solver_module._pick_anchor_rows(counts, solver_module._ANCHORS).tolist():
+            W = (L >= slab[ai]) & (L <= slab[ai + counts[ai] - 1])
+            deg = W.sum(1)
+            for _ in range(solver_module._RESTARTS):
+                rng = np.random.default_rng(derive_seed(seed, rng_counter))
+                rng_counter += 1
+                c = _local_improve(W, deg, _greedy_in_window(W, deg, rng), rng)
+                if len(c) > len(best):
+                    best = c
+    return tuple(sorted(best or [0]))
+
+
+def oracle_instances(n, count, salt):
+    """Complete and sparse instances on n vertices (the sparse ones with
+    isolated vertices among and above the others), every other one with
+    tied labels: all equal, or rounded to 2 decimals."""
+    for i in range(count):
+        s = derive_seed(salt, n * 1000 + i)
+        tg = generate_random_complete(n, s)
+        if i % 2:
+            tg = with_isolated_vertices(sparse_instance(n, 0.5, s), 1 + n // 4, s)
+        if i % 4 == 2:
+            tg = TemporalGraph(tg.n, tg.u, tg.v, np.full(tg.m, 0.25))
+        elif i % 4 == 3:
+            tg = TemporalGraph(tg.n, tg.u, tg.v, np.round(tg.labels, 2))
+        yield i, tg, (0.1, 0.3, 0.5, 0.7, 0.9)[i % 5]
+
+
+@pytest.mark.parametrize("n", [2, 7, 20, 63, 64, 65, 128, 129])
+def test_heuristic_witness_matches_numpy_oracle(monkeypatch, n):
+    """30 instances per n, 240 in all, n on either side of the kernel's
+    64-bit word boundaries, delta from 0.1 to 0.9.  Four windows of two
+    restarts keep the numpy side fast and make every restart count."""
+    monkeypatch.setattr(solver_module, "_ANCHORS", 4)
+    monkeypatch.setattr(solver_module, "_RESTARTS", 2)
+    for i, tg, d in oracle_instances(n, 30, 8080):
+        res = max_delta_clique_heuristic(tg, d, seed=i)
+        assert res.clique.vertices == numpy_heuristic(tg, d, i), (n, i, d, tg.m)
+
+
+def test_heuristic_witness_matches_numpy_oracle_around_the_score_switch(monkeypatch):
+    """Dense windows, where greedy steps pass through 96 candidates: at most
+    96 are scored by their neighbours among the candidates, more by their
+    window degree."""
+    monkeypatch.setattr(solver_module, "_ANCHORS", 4)
+    monkeypatch.setattr(solver_module, "_RESTARTS", 2)
+    for n in (110, 120, 150):
+        for i in range(10):
+            tg = generate_random_complete(n, derive_seed(9696, n * 100 + i))
+            res = max_delta_clique_heuristic(tg, 0.9, seed=i)
+            assert res.clique.vertices == numpy_heuristic(tg, 0.9, i), (n, i)
+
+
+@pytest.mark.parametrize("n", [20, 65, 129])
+def test_heuristic_witness_matches_numpy_oracle_at_default_effort(n):
+    for i, tg, d in oracle_instances(n, 4, 8181):
+        res = max_delta_clique_heuristic(tg, d, seed=i)
+        assert res.clique.vertices == numpy_heuristic(tg, d, i), (n, i, d, tg.m)
 
 
 # ---------------------------------------------------------------- dispatcher

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,6 +62,27 @@ def _sort_key(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.lexsort((v, u))
 
 
+def _columns(rows: list, k: int) -> list[list]:
+    """The k columns of a list of k-item rows.  Not zip(*rows): its one
+    iterator per row sets off the cyclic garbage collector, 0.41 s against
+    0.05 s for 499,500 rows."""
+    return [list(map(itemgetter(j), rows)) for j in range(k)]
+
+
+def _canonical_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint columns in any order as canonical pairs u < v, sorted, with
+    the stable order that sorts them; ids that do not fit in int64 raise
+    OverflowError."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    u = np.minimum(a, b)
+    v = np.maximum(a, b)
+    if (u == v).any():
+        raise ValueError("self-loops are not allowed")
+    order = _sort_key(u, v)
+    return u[order], v[order], order
+
+
 @dataclass(frozen=True, eq=False)
 class TemporalGraph:
     """A simple graph with one label in [0, 1] per edge, canonically ordered."""
@@ -86,28 +108,23 @@ class TemporalGraph:
             object.__setattr__(self, name, arr)
 
     @classmethod
+    def from_columns(cls, n: int, a, b, labels) -> "TemporalGraph":
+        """Build from endpoint and label columns in any edge order; pairs are
+        canonicalized."""
+        u, v, order = _canonical_pairs(a, b)
+        return cls(n, u, v, np.asarray(labels, dtype=np.float64)[order])
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "TemporalGraph":
         """Build from (u, v, label) triples in any order; pairs are canonicalized."""
-        rows = list(edges)
-        if not rows:
-            return cls(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-        u = np.array([min(r[0], r[1]) for r in rows], dtype=np.int64)
-        v = np.array([max(r[0], r[1]) for r in rows], dtype=np.int64)
-        lab = np.array([r[2] for r in rows], dtype=np.float64)
-        if (u == v).any():
-            raise ValueError("self-loops are not allowed")
-        order = _sort_key(u, v)
-        return cls(n, u[order], v[order], lab[order])
+        return cls.from_columns(n, *_columns(list(edges), 3))
 
     @property
     def m(self) -> int:
         return int(self.u.size)
 
     def edge_list(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(a), int(b), float(t))
-            for a, b, t in zip(self.u, self.v, self.labels)
-        ]
+        return list(zip(self.u.tolist(), self.v.tolist(), self.labels.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
@@ -145,22 +162,15 @@ class StaticGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "StaticGraph":
-        rows = list(edges)
-        if not rows:
-            return cls(n, np.empty(0, np.int64), np.empty(0, np.int64))
-        u = np.array([min(a, b) for a, b in rows], dtype=np.int64)
-        v = np.array([max(a, b) for a, b in rows], dtype=np.int64)
-        if (u == v).any():
-            raise ValueError("self-loops are not allowed")
-        order = _sort_key(u, v)
-        return cls(n, u[order], v[order])
+        u, v, _ = _canonical_pairs(*_columns(list(edges), 2))
+        return cls(n, u, v)
 
     @property
     def m(self) -> int:
         return int(self.u.size)
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [(int(a), int(b)) for a, b in zip(self.u, self.v)]
+        return list(zip(self.u.tolist(), self.v.tolist()))
 
     @cached_property
     def adjacency_masks(self) -> list[int]:
@@ -219,7 +229,7 @@ def generate_random_complete(n: int, seed: int) -> TemporalGraph:
     iu, iv = np.triu_indices(n, k=1)
     rng = np.random.default_rng(seed)
     labels = rng.random(iu.size)
-    return TemporalGraph(n, iu.astype(np.int64), iv.astype(np.int64), labels)
+    return TemporalGraph(n, iu, iv, labels)
 
 
 def generate_er(n: int, p: float, seed: int) -> StaticGraph:
@@ -231,7 +241,7 @@ def generate_er(n: int, p: float, seed: int) -> StaticGraph:
     iu, iv = np.triu_indices(n, k=1)
     rng = np.random.default_rng(seed)
     keep = rng.random(iu.size) < p
-    return StaticGraph(n, iu[keep].astype(np.int64), iv[keep].astype(np.int64))
+    return StaticGraph(n, iu[keep], iv[keep])
 
 
 def _clique_labels(tg: TemporalGraph, verts: Sequence[int]) -> np.ndarray:

@@ -15,7 +15,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .graphs import TemporalGraph
+from .graphs import TemporalGraph, _columns
 
 
 class GraphFormatError(ValueError):
@@ -25,20 +25,56 @@ class GraphFormatError(ValueError):
 def dumps_temporal_graph(tg: TemporalGraph, fmt: str = "json") -> str:
     """Serialize to the canonical JSON format (or plain text with fmt="text")."""
     if fmt == "json":
-        doc = {"n": tg.n, "edges": [[a, b, t] for a, b, t in tg.edge_list()]}
-        return json.dumps(doc) + "\n"
+        return json.dumps({"n": tg.n, "edges": tg.edge_list()}) + "\n"
     if fmt == "text":
         return "".join(f"{a} {b} {t}\n" for a, b, t in tg.edge_list())
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _from_edges(n: int, triples: list, where: str) -> TemporalGraph:
+def _graph(n: int, a, b, labels, where: str) -> TemporalGraph:
     try:
-        return TemporalGraph.from_edges(n, triples)
+        return TemporalGraph.from_columns(n, a, b, labels)
     except OverflowError:
         raise GraphFormatError(f"{where}: n and vertex ids must fit in 64-bit integers") from None
     except ValueError as exc:
         raise GraphFormatError(f"{where}: {exc}") from None
+
+
+def _entry_fault(i: int, entry) -> str | None:
+    """Why `edges[i]` is malformed, or None.  Only used to name the first bad
+    entry once a whole-column check has failed."""
+    if (
+        not isinstance(entry, list)
+        or len(entry) != 3
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+    ):
+        return f"edges[{i}] must be a [u, v, label] triple of numbers"
+    if not all(isinstance(x, int) or x.is_integer() for x in entry[:2]):  # is_integer: False for inf, NaN
+        return f"edges[{i}]: endpoints must be integers"
+    return None
+
+
+def _edge_columns(edges: list) -> list | None:
+    """The u, v and label columns of `edges`, or None if some entry is not a
+    triple of numbers with integral endpoints.  Every check looks at a whole
+    column at once; `type(True) is bool`, so bools fail the type check."""
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3}):
+        return None
+    columns = _columns(edges, 3)
+    types = [set(map(type, column)) for column in columns]
+    if not all(t <= {int, float} for t in types):
+        return None
+    for j in (0, 1):
+        if float in types[j]:
+            # exact conversion: 1e300 becomes an int that then overflows int64
+            if not all(type(x) is int or x.is_integer() for x in columns[j]):
+                return None
+            columns[j] = [int(x) for x in columns[j]]
+    if int in types[2]:
+        # an integer too large for a float lies outside [0, 1]; clamping keeps
+        # it there without overflowing the float conversion
+        columns[2] = [max(-1, min(x, 2)) if type(x) is int else x for x in columns[2]]
+    return columns
 
 
 def _parse_json(text: str) -> TemporalGraph:
@@ -57,27 +93,14 @@ def _parse_json(text: str) -> TemporalGraph:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list")
-    triples = []
-    for i, entry in enumerate(edges):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
-            raise GraphFormatError(f"edges[{i}] must be a [u, v, label] triple of numbers")
-        a, b, t = entry
-        try:
-            integral = a == int(a) and b == int(b)
-        except (OverflowError, ValueError):  # infinite or NaN endpoints
-            integral = False
-        if not integral:
-            raise GraphFormatError(f"edges[{i}]: endpoints must be integers")
-        triples.append((int(a), int(b), float(t)))
-    return _from_edges(n, triples, "field 'edges'")
+    columns = _edge_columns(edges)
+    if columns is None:
+        raise GraphFormatError(next(filter(None, (_entry_fault(i, e) for i, e in enumerate(edges)))))
+    return _graph(n, *columns, "field 'edges'")
 
 
 def _parse_text(text: str) -> TemporalGraph:
-    triples = []
+    rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -86,15 +109,13 @@ def _parse_text(text: str) -> TemporalGraph:
         if len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'u v label', got {line!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
-            t = float(parts[2])
+            rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: could not parse 'u v label' from {line!r}") from None
-        triples.append((a, b, t))
-    if not triples:
+    if not rows:
         raise GraphFormatError("no edges found in text input")
-    n = max(max(a, b) for a, b, _ in triples) + 1
-    return _from_edges(n, triples, "edge list")
+    a, b, labels = _columns(rows, 3)
+    return _graph(max(max(a), max(b)) + 1, a, b, labels, "edge list")
 
 
 def loads_temporal_graph(text: str) -> TemporalGraph:

@@ -221,6 +221,13 @@ static void search_free(Search *S) {
     free(S->order);
 }
 
+/* The end of the window anchored at label t: the first index at or past hi
+ * of the sorted labels slab[0..m) whose label x fails x - t <= delta. */
+static int64_t window_end(const double *slab, int64_t m, int64_t hi, double t, double delta) {
+    while (hi < m && slab[hi] - t <= delta) hi++;
+    return hi;
+}
+
 /* The anchored-window sweep over edges sorted by label (su, sv, slab).
  *
  * The window anchored at edge a holds the edges e >= a with
@@ -231,9 +238,12 @@ static void search_free(Search *S) {
  * is searched again with bit positions equal to vertex ids, from the size
  * the incumbent had before it, so the witness is that of an id-order sweep.
  *
+ * The incumbent starts as the first edge, so a deadline that passes before
+ * the first anchor still leaves a 2-clique; m must be positive.
+ *
  * Writes the witness (vertex numbers) to `witness`, which holds n entries,
- * and returns its size: 0 when the deadline passed before the first anchor.
- * stats receives ST_COUNT counters.  Returns -1 when memory runs out. */
+ * and returns its size.  stats receives ST_COUNT counters.  Returns -1 when
+ * memory runs out. */
 int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, const double *slab,
                  double delta, int has_deadline, double deadline, int64_t *witness, int64_t *stats) {
     Search S;
@@ -243,27 +253,20 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
     memset(stats, 0, ST_COUNT * sizeof(int64_t));
     if (search_init(&S, n, has_deadline, deadline, stats) || !pos || !inv) goto done;
     for (int64_t v = 0; v < n; v++) pos[v] = inv[v] = v;
-    S.best = 1;
-    size = 0;
+    S.best = size = 2;
+    witness[0] = su[0];
+    witness[1] = sv[0];
     int64_t hi = 0, relabeled_at = 0;
     int64_t grown = -1, grown_hi = 0, grown_before = 0;
     for (int64_t a = 0; a < m; a++) {
-        const double t = slab[a];
-        while (hi < m && slab[hi] - t <= delta) {
+        for (const int64_t end = window_end(slab, m, hi, slab[a], delta); hi < end; hi++)
             set_edge(&S, pos[su[hi]], pos[sv[hi]]);
-            hi++;
-        }
         if (a > 0) clear_edge(&S, pos[su[a - 1]], pos[sv[a - 1]]);
         if (has_deadline && now() > deadline) {
             stats[ST_BUDGET_HIT] = 1;
             break;
         }
         stats[ST_ANCHORS]++;
-        if (S.best < 2) {
-            S.best = size = 2;
-            witness[0] = su[a];
-            witness[1] = sv[a];
-        }
         /* a clique of size best + 1 needs C(best + 1, 2) window edges */
         if (hi - a < (S.best + 1) * S.best / 2) {
             stats[ST_SKIP_EDGES]++;
@@ -541,25 +544,30 @@ static int64_t rank(const double *x, int64_t len, double y, int upto) {
     return lo;
 }
 
-/* The heuristic over `windows` anchored windows: window j holds the edges
+/* The heuristic over `windows` windows, one per slice of the sorted labels
+ * slab[0..m): slice j holds the anchors bounds[j]..bounds[j+1]-1, which are
+ * nonempty and ascending.  The window anchored at a holds the labels
+ * x >= slab[a] with x - slab[a] <= delta; slice j's window is the first of
+ * its anchors' windows with the most labels.  So window j holds the edges
  * whose label x has lo[j] <= x <= hi[j], and lo and hi are nondecreasing.
  * In each, `restarts` runs of greedy plus local search, run r drawing from
  * the bit generator at address gens[j * restarts + r].  The incumbent is
  * replaced only by a strictly larger clique.  After each run the deadline,
  * if any, is checked.
  *
- * An edge lies in windows enter..leave-1, where enter counts the windows
- * that end below its label and leave those that start at or below it.
- * Both grow with the label, so the segment enter + leave names one
- * (enter, leave) pair; the edges are bucketed by segment once, and each
+ * An edge, of label lab[e], lies in windows enter..leave-1, where enter
+ * counts the windows that end below its label and leave those that start at
+ * or below it.  Both grow with the label, so the segment enter + leave names
+ * one (enter, leave) pair; the edges are bucketed by segment once, and each
  * window is the previous one plus and minus whole segments.
  *
  * Writes the incumbent in list order to `witness` (n entries) and returns
  * its size; stats receives ST_BUDGET_HIT. */
 int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, const double *lab,
-                     int64_t windows, const double *lo, const double *hi, int64_t restarts,
-                     const uint64_t *gens, int64_t pool, int64_t rounds, int64_t plateau,
-                     int has_deadline, double deadline, int64_t *witness, int64_t *stats) {
+                     const double *slab, double delta, int64_t windows, const int64_t *bounds,
+                     int64_t restarts, const uint64_t *gens, int64_t pool, int64_t rounds,
+                     int64_t plateau, int has_deadline, double deadline, int64_t *witness,
+                     int64_t *stats) {
     Heur H;
     int64_t size = -1;
     const int64_t nseg = 2 * windows + 1;
@@ -580,9 +588,23 @@ int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, c
     int64_t *leave = calloc((size_t)nseg, sizeof(int64_t));
     /* vertex numbers fit 32 bits: the caller caps the n x W-word adjacency */
     uint32_t *pairs = malloc(2 * (size_t)m * sizeof(uint32_t));
-    ok = ok && H.deg && H.cnt && H.in_c && H.cand && H.mask && seg && first && enter && leave && pairs;
+    double *lo = malloc((size_t)windows * sizeof(double));
+    double *hi = malloc((size_t)windows * sizeof(double));
+    ok = ok && H.deg && H.cnt && H.in_c && H.cand && H.mask && seg && first && enter && leave;
+    ok = ok && pairs && lo && hi;
     for (int i = 0; i < 4; i++) ok = ok && (H.buf[i] = malloc(((size_t)n + 1) * sizeof(int64_t)));
     if (!ok) goto done;
+    for (int64_t j = 0, end = 0; j < windows; j++) {
+        int64_t most = 0;
+        for (int64_t a = bounds[j]; a < bounds[j + 1]; a++) {
+            end = window_end(slab, m, end, slab[a], delta);
+            if (end - a > most) {
+                most = end - a;
+                lo[j] = slab[a];
+                hi[j] = slab[end - 1];
+            }
+        }
+    }
     for (int64_t e = 0; e < m; e++) {
         const int64_t a = rank(hi, windows, lab[e], 0), b = rank(lo, windows, lab[e], 1);
         seg[e] = (int32_t)(a + b);
@@ -637,5 +659,7 @@ done:
     free(enter);
     free(leave);
     free(pairs);
+    free(lo);
+    free(hi);
     return size;
 }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -82,6 +83,12 @@ def _parse_json(text: str) -> TemporalGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError:
+        # the one other ValueError json.loads raises: an integer literal
+        # longer than the interpreter's int-conversion limit
+        raise GraphFormatError(
+            f"JSON input: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level JSON value must be an object")
     for key in ("n", "edges"):

@@ -122,9 +122,9 @@ _SIGNATURES = {
     "tc_sweep": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_double,
                  ctypes.c_int, ctypes.c_double, _i64, _i64],
     "tc_max_clique": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, ctypes.c_int64, _i64, _i64],
-    "tc_heuristic": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_int64, _f64, _f64,
-                     ctypes.c_int64, _u64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                     ctypes.c_int, ctypes.c_double, _i64, _i64],
+    "tc_heuristic": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, _f64, ctypes.c_double,
+                     ctypes.c_int64, _i64, ctypes.c_int64, _u64, ctypes.c_int64, ctypes.c_int64,
+                     ctypes.c_int64, ctypes.c_int, ctypes.c_double, _i64, _i64],
 }
 
 
@@ -334,53 +334,16 @@ def max_delta_clique_exact(
     )
 
 
-def _window_counts(slab: np.ndarray, delta: float) -> np.ndarray:
-    """For sorted labels slab, counts[a] is the number of indices j >= a with
-    slab[j] - slab[a] <= delta, the predicate of `delta_clique_check`.
-
-    Anchors go in blocks, so the temporaries stay small."""
-    m, block = slab.size, 1 << 16
-    counts = np.empty(m, dtype=np.int64)
-    for lo in range(0, m, block):
-        t = slab[lo : lo + block]
-        ends = np.searchsorted(slab, t + delta, side="right")
-        # t + delta is rounded, so the bisection can stop an ulp or two away
-        # from the predicate's boundary; step it there
-        while True:
-            step = (ends < m) & (slab[np.minimum(ends, m - 1)] - t <= delta)
-            if not step.any():
-                break
-            ends += step
-        while True:
-            step = slab[ends - 1] - t > delta
-            if not step.any():
-                break
-            ends -= step
-        counts[lo : lo + t.size] = ends - np.arange(lo, lo + t.size)
-    return counts
-
-
-def _pick_anchor_rows(counts: np.ndarray, cap: int) -> np.ndarray:
-    """Spread `cap` anchor indices over the sorted-label range, taking the
-    densest window start inside each slice."""
-    m = counts.size
-    if m <= cap:
-        return np.arange(m)
-    # m > cap, so the slice edges are strictly increasing and so are the picks
-    edges = np.linspace(0, m, cap + 1).astype(int)
-    picks = [lo + int(np.argmax(counts[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
-    return np.array(picks, dtype=np.int64)
-
-
 def max_delta_clique_heuristic(
     tg: TemporalGraph, delta: float, config: SolverConfig | None = None, seed: int = 0
 ) -> SolveResult:
     """Randomized greedy + local search; valid witness, no optimality claim.
 
-    The kernel searches `_ANCHORS` windows spread over the label range, each
-    `_RESTARTS` times; restart i draws from a numpy Generator seeded with
-    derive_seed(seed, i), so the result is deterministic given (graph, delta,
-    config, seed).
+    The kernel cuts the label-sorted edges into `_ANCHORS` equal slices (one
+    per edge when there are fewer) and searches, in each, the first of the
+    windows anchored there with the most labels, `_RESTARTS` times; restart
+    i draws from a numpy Generator seeded with derive_seed(seed, i), so the
+    result is deterministic given (graph, delta, config, seed).
     """
     cfg = config or SolverConfig(mode="heuristic")
     if not 0.0 <= delta <= 1.0:
@@ -388,13 +351,9 @@ def max_delta_clique_heuristic(
     t_start = time.perf_counter()
     best: list[int] = []
     if tg.m > 0:
-        slab = np.sort(tg.labels)
-        counts = _window_counts(slab, delta)
-        rows = _pick_anchor_rows(counts, _ANCHORS)
-        # the labels x >= t with x - t <= delta, for t = slab[a], are those
-        # up to the last label of the anchor's window
-        lo, hi = slab[rows], slab[rows + counts[rows] - 1]
-        gens = [np.random.default_rng(derive_seed(seed, i)) for i in range(rows.size * _RESTARTS)]
+        bounds = np.linspace(0, tg.m, min(tg.m, _ANCHORS) + 1).astype(np.int64)
+        windows = bounds.size - 1
+        gens = [np.random.default_rng(derive_seed(seed, i)) for i in range(windows * _RESTARTS)]
         addresses = np.array(
             [g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uint64
         )
@@ -406,9 +365,10 @@ def max_delta_clique_heuristic(
             tg.u,
             tg.v,
             tg.labels,
-            rows.size,
-            lo,
-            hi,
+            np.sort(tg.labels),
+            delta,
+            windows,
+            bounds,
             _RESTARTS,
             addresses,
             _GREEDY_POOL,

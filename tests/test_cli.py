@@ -445,3 +445,23 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["what"] == "k0"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with it blocked, the CLI imports and
+    runs the one experiment that reports a KS statistic, and loads none of
+    scipy."""
+    argv = ["experiment", "--name", "conjecture2", "--n", "20", "--delta", "0.4",
+            "--trials", "3", "--seed", "31", "--outdir", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from tempclique.cli import main\n"
+        f"code = main({argv!r})\n"
+        "assert sys.modules['scipy'] is None\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert isinstance(json.loads(proc.stdout)["extras"]["ks_statistic"], float)

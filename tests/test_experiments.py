@@ -7,12 +7,14 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from tempclique.analytics import window_probability
 from tempclique.cli import main
 from tempclique.experiments import (
     EXACT_SWEEP_MAX_N,
     ExperimentReport,
+    _ks_uniform,
     build_planted_instance,
     conjecture2_probe,
     estimate_clique_count,
@@ -283,6 +285,19 @@ def test_conjecture2_probe_reports_histogram_and_ks():
         assert 0.0 <= t["value"] <= 1.0
         if t["in_planted_window"]:
             assert t["value"] <= 0.4 + 1e-12
+
+
+def test_ks_uniform_equals_scipy_bit_for_bit():
+    """The numpy statistic against scipy's, on random samples of size 1-60,
+    rounded samples full of ties, samples with exact 0s and 1s, skewed
+    draws and one-point samples."""
+    rng = np.random.default_rng(2718)
+    samples = [rng.random(rng.integers(1, 61)) for _ in range(200)]
+    samples += [np.round(rng.random(40), 1), rng.random(50) ** 4]
+    samples += [np.array([0.0, 0.0, 0.25, 1.0, 1.0]), np.zeros(3), np.ones(3)]
+    samples += [np.array([x]) for x in (0.0, 0.3, 1.0)]
+    for x in samples:
+        assert _ks_uniform(x.tolist()) == stats.kstest(x, "uniform").statistic, x
 
 
 # ------------------------------------------------------------- pinned outputs

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,7 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
 
 BIG = "1" + "0" * 400  # an integer too large for a float
 N30 = "123456789012345678901234567890"  # fits neither int64 nor uint64
+N5000 = "1" + "0" * 4999  # past the interpreter's int-conversion digit limit
 TRIPLE = "edges[{}] must be a [u, v, label] triple of numbers"
 INTEGRAL = "edges[{}]: endpoints must be integers"
 WIDE = "field 'edges': n and vertex ids must fit in 64-bit integers"
@@ -114,6 +116,7 @@ LOOP = "field 'edges': self-loops are not allowed"
 RANGE = "field 'edges': vertex ids must lie in [0, n)"
 DUPLICATE = "field 'edges': duplicate edge in edge list"
 LABEL = "field 'edges': labels must be finite and lie in [0, 1]"
+DIGITS = f"JSON input: an integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 MALFORMED = [
@@ -142,6 +145,9 @@ MALFORMED = [
     ("30-digit n, no edges", "[]", N30, WIDE),
     ("NaN label", "[[0, 1, NaN]]", 3, LABEL),
     ("label 2", "[[0, 1, 2]]", 3, LABEL),
+    ("5000-digit endpoint", f"[[0, {N5000}, 0.5]]", 3, DIGITS),
+    ("5000-digit label", f"[[0, 1, {N5000}]]", 3, DIGITS),
+    ("5000-digit n", "[[0, 1, 0.5]]", N5000, DIGITS),
     # two faults: the one reported first
     ("non-integral before string", '[[0, 1.5, 0.5], [0, "x", 0.5]]', 3, INTEGRAL.format(0)),
     ("1e300 before string", '[[0, 1e300, 0.5], [0, "x", 0.5]]', 3, TRIPLE.format(1)),

@@ -244,11 +244,14 @@ def test_exact_stats_count_the_search():
 
 
 def test_exact_stats_flag_a_hit_budget():
-    res = max_delta_clique_exact(
-        generate_random_complete(30, 1), 0.5, SolverConfig(mode="exact", time_budget=0.0)
-    )
+    """A budget spent before the first anchor still returns a 2-clique: the
+    first edge in label order, which seeds the incumbent."""
+    tg = generate_random_complete(30, 1)
+    res = max_delta_clique_exact(tg, 0.5, SolverConfig(mode="exact", time_budget=0.0))
     assert not res.optimal
     assert res.stats["budget_hit"] == 1 and res.stats["anchors"] == 0
+    e = int(np.argmin(tg.labels))
+    assert res.clique.vertices == tuple(sorted((int(tg.u[e]), int(tg.v[e]))))
 
 
 def test_exact_budget_stops_inside_an_anchor_search():
@@ -463,21 +466,59 @@ def _local_improve(W, deg, clique, rng):
     return clique
 
 
+def _window_counts(slab: np.ndarray, delta: float) -> np.ndarray:
+    """For sorted labels slab, counts[a] is the number of indices j >= a with
+    slab[j] - slab[a] <= delta, the predicate of `delta_clique_check`.
+
+    Anchors go in blocks, so the temporaries stay small."""
+    m, block = slab.size, 1 << 16
+    counts = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, block):
+        t = slab[lo : lo + block]
+        ends = np.searchsorted(slab, t + delta, side="right")
+        # t + delta is rounded, so the bisection can stop an ulp or two away
+        # from the predicate's boundary; step it there
+        while True:
+            step = (ends < m) & (slab[np.minimum(ends, m - 1)] - t <= delta)
+            if not step.any():
+                break
+            ends += step
+        while True:
+            step = slab[ends - 1] - t > delta
+            if not step.any():
+                break
+            ends -= step
+        counts[lo : lo + t.size] = ends - np.arange(lo, lo + t.size)
+    return counts
+
+
+def _pick_anchor_rows(counts: np.ndarray, cap: int) -> np.ndarray:
+    """Spread `cap` anchor indices over the sorted-label range, taking the
+    densest window start inside each slice."""
+    m = counts.size
+    if m <= cap:
+        return np.arange(m)
+    # m > cap, so the slice edges are strictly increasing and so are the picks
+    edges = np.linspace(0, m, cap + 1).astype(int)
+    picks = [lo + int(np.argmax(counts[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.array(picks, dtype=np.int64)
+
+
 def numpy_heuristic(tg, delta, seed):
     """The heuristic on dense numpy window matrices, as it ran before the
     kernel: the reference whose witness `max_delta_clique_heuristic` must
-    reproduce.  It shares the anchor choice and reads the effort constants
-    at call time."""
+    reproduce, anchor choice included.  It reads the effort constants at
+    call time."""
     if tg.m == 0:
         return (0,)
     L = np.full((tg.n, tg.n), np.nan)
     L[tg.u, tg.v] = tg.labels
     L[tg.v, tg.u] = tg.labels
     slab = np.sort(tg.labels)
-    counts = solver_module._window_counts(slab, delta)
+    counts = _window_counts(slab, delta)
     best, rng_counter = [], 0
     with np.errstate(invalid="ignore"):
-        for ai in solver_module._pick_anchor_rows(counts, solver_module._ANCHORS).tolist():
+        for ai in _pick_anchor_rows(counts, solver_module._ANCHORS).tolist():
             W = (L >= slab[ai]) & (L <= slab[ai + counts[ai] - 1])
             deg = W.sum(1)
             for _ in range(solver_module._RESTARTS):

@@ -34,7 +34,6 @@ from .graphs import (
     IntervalTooWide,
     MissingEdge,
     NotADeltaClique,
-    StaticGraph,
     TemporalGraph,
     delta_clique_check,
     generate_er,
@@ -59,7 +58,6 @@ from .solver import (
     max_delta_clique_exact,
     max_delta_clique_heuristic,
     solve_max_delta_clique,
-    static_max_clique,
 )
 
 __version__ = "0.1.0"

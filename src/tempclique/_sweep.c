@@ -320,33 +320,6 @@ done:
     return size;
 }
 
-/* Maximum clique of the static graph with edges (u[e], v[e]), searched
- * from every vertex as a candidate against an incumbent of size `best`.
- * Writes a larger clique to `witness` (n entries) and returns its size, or
- * returns 0 when none beats the incumbent; -1 when memory runs out. */
-int64_t tc_max_clique(int64_t n, int64_t m, const int64_t *u, const int64_t *v, int64_t best,
-                      int64_t *witness, int64_t *stats) {
-    Search S;
-    int64_t size = -1;
-    memset(stats, 0, ST_COUNT * sizeof(int64_t));
-    if (search_init(&S, n, 0, 0.0, stats) ||
-        reserve((void **)&S.pool, &S.pool_words, 3 * (size_t)S.W, sizeof(uint64_t)))
-        goto done;
-    for (int64_t e = 0; e < m; e++) set_edge(&S, u[e], v[e]);
-    memset(S.pool, 0, S.W * sizeof(uint64_t));
-    for (int64_t x = 0; x < n; x++) S.pool[x >> 6] |= 1ULL << (x & 63);
-    S.best = best;
-    if (expand(&S, 0, 0, 0, 0, S.W, n)) goto done;
-    size = 0;
-    if (S.best > best) {
-        memcpy(witness, S.best_set, S.best * sizeof(int64_t));
-        size = S.best;
-    }
-done:
-    search_free(&S);
-    return size;
-}
-
 /* numpy's bitgen_t (numpy/random/bitgen.h).  The heuristic's caller passes
  * the address of each restart's Generator bit generator, so every draw
  * advances numpy's own state, 32-bit buffering included. */

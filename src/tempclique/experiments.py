@@ -29,11 +29,11 @@ import numpy as np
 
 from .analytics import k0_threshold, window_probability
 from .graphs import (
-    StaticGraph,
     TemporalGraph,
     _pair_index,
     generate_er,
     generate_random_complete,
+    is_delta_clique,
 )
 from .io import atomic_write_text
 from .seeds import derive_seed, uniform_block
@@ -41,8 +41,8 @@ from .solver import (
     InfeasibleConfigError,
     SolverConfig,
     greedy_static_clique,
+    max_delta_clique_exact,
     solve_max_delta_clique,
-    static_max_clique,
 )
 
 EXACT_SWEEP_MAX_N = 1000
@@ -57,21 +57,6 @@ def run_indexed(count: int, fn) -> list:
     function of (params, seed, i).
     """
     return [fn(i) for i in range(count)]
-
-
-def _clean_record(rec: dict) -> dict:
-    """Normalize a trial record to plain Python scalars (bools become ints)."""
-    out = {}
-    for key, val in rec.items():
-        if isinstance(val, (bool, np.bool_)):
-            out[key] = int(val)
-        elif isinstance(val, (int, np.integer)):
-            out[key] = int(val)
-        elif isinstance(val, (float, np.floating)):
-            out[key] = float(val)
-        else:
-            out[key] = val
-    return out
 
 
 def _aggregate(values: list[float]) -> tuple[float, float, float, int]:
@@ -105,9 +90,8 @@ class ExperimentReport:
     def from_trials(
         cls, name: str, params: dict, trials: list[dict], extras: dict | None = None
     ) -> "ExperimentReport":
-        records = [_clean_record(t) for t in trials]
-        mean, variance, stderr, count = _aggregate([t["value"] for t in records])
-        return cls(name, dict(params), records, mean, variance, stderr, count, extras or {})
+        mean, variance, stderr, count = _aggregate([t["value"] for t in trials])
+        return cls(name, dict(params), list(trials), mean, variance, stderr, count, extras or {})
 
     def csv_text(self) -> str:
         """The per-trial records as CSV with a header row."""
@@ -297,9 +281,9 @@ def threshold_sweep(
             "value": omega / k0,
             "omega": omega,
             "k0": k0,
-            "upper_ok": omega <= ceil(1.25 * k0),
-            "lower_ok": omega >= floor(0.5 * k0),
-            "optimal": res.optimal,
+            "upper_ok": int(omega <= ceil(1.25 * k0)),
+            "lower_ok": int(omega >= floor(0.5 * k0)),
+            "optimal": int(res.optimal),
         }
 
     records = _solver_trials("threshold", ns, delta, trials, cfg, seed, trial)
@@ -332,7 +316,7 @@ def interval_width_experiment(
             "value": width / delta,
             "omega": res.clique.size,
             "width": width,
-            "optimal": res.optimal,
+            "optimal": int(res.optimal),
         }
 
     records = _solver_trials("interval-width", [n], delta, trials, cfg, seed, trial)
@@ -343,14 +327,15 @@ def interval_width_experiment(
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    """A complete labeled instance hiding a static base graph.
+    """A complete labeled instance hiding a static base graph (a temporal
+    graph whose labels are all 0, as `generate_er` draws it).
 
     Base edges carry labels from `planted_range`; all other pairs carry
     labels from `filler_range`, which starts at delta so no filler label can
     fall inside a planted window that starts below it.
     """
 
-    base: StaticGraph
+    base: TemporalGraph
     temporal: TemporalGraph
     mode: str
     planted_range: tuple[float, float]
@@ -358,9 +343,10 @@ class PlantedInstance:
 
 
 def build_planted_instance(
-    base: StaticGraph, delta: float, mode: str, seed: int
+    base: TemporalGraph, delta: float, mode: str, seed: int
 ) -> PlantedInstance:
-    """Embed `base` into a complete labeled instance.
+    """Embed the edges of `base`, labels ignored, into a complete labeled
+    instance.
 
     mode="half": base labels uniform on [0, delta/2), filler on [delta, 1) —
     solving at delta/2 then separates base cliques from any mixed set.
@@ -414,21 +400,17 @@ def reduction_experiment(
     def trial(n: int, t: int, s: int) -> dict:
         planted, res = _solve_planted(n, delta, "half", cfg, s)
         base = planted.base
-        verts = res.clique.vertices
-        in_base = all(
-            base.has_edge(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]
-        )
         greedy_size = len(greedy_static_clique(base))
         return {
             "trial": t,
             "seed": s,
             "value": res.clique.size,
-            "base_clique": in_base,
-            "in_planted_window": res.clique.interval_max <= planted.planted_range[1],
-            "base_omega": len(static_max_clique(base)),
+            "base_clique": int(is_delta_clique(base, res.clique.vertices, 0.0)),
+            "in_planted_window": int(res.clique.interval_max <= planted.planted_range[1]),
+            "base_omega": max_delta_clique_exact(base, 0.0).clique.size,
             "greedy_size": greedy_size,
-            "beats_greedy": res.clique.size >= greedy_size,
-            "optimal": res.optimal,
+            "beats_greedy": int(res.clique.size >= greedy_size),
+            "optimal": int(res.optimal),
         }
 
     records = _solver_trials("reduction", [n], delta, trials, cfg, seed, trial)
@@ -470,8 +452,8 @@ def conjecture2_probe(
             "width": width,
             "normalized_left": left / slack if slack > 1e-12 else 0.0,
             "size": res.clique.size,
-            "in_planted_window": res.clique.interval_max <= planted.planted_range[1],
-            "optimal": res.optimal,
+            "in_planted_window": int(res.clique.interval_max <= planted.planted_range[1]),
+            "optimal": int(res.optimal),
         }
 
     records = _solver_trials("conjecture2", [n], delta, trials, cfg, seed, trial)

@@ -1,16 +1,17 @@
-"""Temporal/static graph types, seeded generators, and the delta-clique predicate.
+"""The temporal graph type, seeded generators, and the delta-clique predicate.
 
 Vertices are 0-indexed.  Edges are canonical pairs (u, v) with u < v, stored
 as parallel numpy arrays sorted lexicographically by (u, v).  A temporal graph
 carries one real label per edge in [0, 1]; a vertex set Q is a delta-temporal
 clique when Q is complete in the underlying graph and the labels of its
-internal edges all fit in a closed window of width delta.
+internal edges all fit in a closed window of width delta.  A static graph is
+a temporal graph whose labels are all 0: its delta-cliques are its cliques,
+for every delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -20,19 +21,13 @@ import numpy as np
 class NotADeltaClique(ValueError):
     """A vertex set failed the delta-clique predicate."""
 
-    reason = "not-a-delta-clique"
-
 
 class MissingEdge(NotADeltaClique):
     """The set is not complete in the underlying graph."""
 
-    reason = "missing-edge"
-
 
 class IntervalTooWide(NotADeltaClique):
     """The set is complete but its label interval exceeds delta."""
-
-    reason = "interval-too-wide"
 
 
 def _as_edge_arrays(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -143,59 +138,6 @@ def _pair_index(n: int, a, b):
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class StaticGraph:
-    """An unlabeled simple graph in the same canonical edge order."""
-
-    n: int
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        u, v = _as_edge_arrays(self.n, self.u, self.v)
-        for name, arr in (("u", u), ("v", v)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "StaticGraph":
-        u, v, _ = _canonical_pairs(*_columns(list(edges), 2))
-        return cls(n, u, v)
-
-    @property
-    def m(self) -> int:
-        return int(self.u.size)
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return list(zip(self.u.tolist(), self.v.tolist()))
-
-    @cached_property
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bitmasks (arbitrary-width Python ints)."""
-        adj = [0] * self.n
-        for a, b in zip(self.u.tolist(), self.v.tolist()):
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return adj
-
-    def has_edge(self, a: int, b: int) -> bool:
-        if not (0 <= a < self.n and 0 <= b < self.n) or a == b:
-            return False
-        return bool(self.adjacency_masks[a] >> b & 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StaticGraph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.u, other.u)
-            and np.array_equal(self.v, other.v)
-        )
-
-
 @dataclass(frozen=True)
 class CliqueResult:
     """A witnessed clique: sorted vertices plus its label interval."""
@@ -232,8 +174,9 @@ def generate_random_complete(n: int, seed: int) -> TemporalGraph:
     return TemporalGraph(n, iu, iv, labels)
 
 
-def generate_er(n: int, p: float, seed: int) -> StaticGraph:
-    """Erdos-Renyi G(n, p): each canonical pair kept independently with prob p."""
+def generate_er(n: int, p: float, seed: int) -> TemporalGraph:
+    """Erdos-Renyi G(n, p) as a static graph: each canonical pair kept
+    independently with prob p, every kept edge labeled 0."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
@@ -241,7 +184,7 @@ def generate_er(n: int, p: float, seed: int) -> StaticGraph:
     iu, iv = np.triu_indices(n, k=1)
     rng = np.random.default_rng(seed)
     keep = rng.random(iu.size) < p
-    return StaticGraph(n, iu[keep], iv[keep])
+    return TemporalGraph(n, iu[keep], iv[keep], np.zeros(int(keep.sum())))
 
 
 def _clique_labels(tg: TemporalGraph, verts: Sequence[int]) -> np.ndarray:

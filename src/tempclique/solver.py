@@ -14,10 +14,11 @@ window.
   window degree, which tightens the coloring bounds; the witness is then
   re-derived in vertex-id order, so it equals that of an id-order search.
   The sweep and the B&B run in the C kernel `_sweep.c`, which also serves
-  `static_max_clique` and the heuristic; it is built with gcc on the first
-  exact, heuristic or static solve into `__pycache__/` next to this file and
-  loaded with ctypes.  Without gcc, or without a writable cache directory,
-  those solves raise InfeasibleConfigError.
+  the heuristic; it is built with gcc on the first exact or heuristic solve
+  into `__pycache__/` next to this file and loaded with ctypes.  Without gcc,
+  or without a writable cache directory, those solves raise
+  InfeasibleConfigError.  A static graph is a temporal graph with every label
+  0, so its clique number is the exact solve at delta = 0.
 * heuristic: randomized greedy plus add, (1,2)-swap and plateau local search
   over a spread of anchored windows, in the same kernel on bitsets of all n
   vertices, drawing from numpy Generators it is handed; valid but not
@@ -44,7 +45,6 @@ import numpy as np
 
 from .graphs import (
     CliqueResult,
-    StaticGraph,
     TemporalGraph,
     delta_clique_check,
 )
@@ -121,7 +121,6 @@ _u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
 _SIGNATURES = {
     "tc_sweep": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_double,
                  ctypes.c_int, ctypes.c_double, _i64, _i64],
-    "tc_max_clique": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, ctypes.c_int64, _i64, _i64],
     "tc_heuristic": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, _f64, ctypes.c_double,
                      ctypes.c_int64, _i64, ctypes.c_int64, _u64, ctypes.c_int64, ctypes.c_int64,
                      ctypes.c_int64, ctypes.c_int, ctypes.c_double, _i64, _i64],
@@ -184,10 +183,21 @@ def _run_kernel(name: str, n: int, m: int, *args) -> tuple[list[int], dict]:
     return witness[:size].tolist(), dict(zip(STAT_NAMES, counters.tolist()))
 
 
-def greedy_static_clique(g: StaticGraph) -> tuple[int, ...]:
-    """Deterministic greedy clique: repeatedly take the candidate of maximum
-    degree within the remaining candidate set (smallest id on ties)."""
-    adj = g.adjacency_masks
+def _neighbor_masks(tg: TemporalGraph) -> list[int]:
+    """Per-vertex neighbor bitmasks (arbitrary-width Python ints) of the
+    underlying graph."""
+    adj = [0] * tg.n
+    for a, b in zip(tg.u.tolist(), tg.v.tolist()):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def greedy_static_clique(g: TemporalGraph) -> tuple[int, ...]:
+    """Deterministic greedy clique of the underlying graph, labels ignored:
+    repeatedly take the candidate of maximum degree within the remaining
+    candidate set (smallest id on ties)."""
+    adj = _neighbor_masks(g)
     cand = (1 << g.n) - 1
     clique: list[int] = []
     while cand:
@@ -203,14 +213,6 @@ def greedy_static_clique(g: StaticGraph) -> tuple[int, ...]:
         clique.append(best_v)
         cand &= adj[best_v]
     return tuple(sorted(clique))
-
-
-def static_max_clique(g: StaticGraph) -> tuple[int, ...]:
-    """Sorted vertices of a maximum clique of a static graph (the kernel's
-    branch and bound over every vertex, seeded with the greedy clique)."""
-    best = greedy_static_clique(g)
-    witness, _ = _run_kernel("tc_max_clique", g.n, g.m, g.u, g.v, len(best))
-    return tuple(sorted(witness or best))
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
@@ -235,12 +237,9 @@ def max_delta_clique_bruteforce(tg: TemporalGraph, delta: float) -> CliqueResult
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     n = tg.n
-    adj = [0] * n
-    lab: dict[int, float] = {}  # keyed by the two-bit mask of the pair
-    for a, b, t in tg.edge_list():
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        lab[(1 << a) | (1 << b)] = t
+    adj = _neighbor_masks(tg)
+    # keyed by the two-bit mask of the pair
+    lab = {(1 << a) | (1 << b): t for a, b, t in tg.edge_list()}
     best_verts: tuple[int, ...] = (0,)
     best_size = 1
     best_lo = best_hi = 0.0

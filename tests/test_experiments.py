@@ -24,7 +24,7 @@ from tempclique.experiments import (
     run_indexed,
     threshold_sweep,
 )
-from tempclique.graphs import StaticGraph, generate_er, generate_random_complete, is_delta_clique
+from tempclique.graphs import TemporalGraph, generate_er, generate_random_complete, is_delta_clique
 from tempclique.seeds import derive_seed
 from tempclique.solver import InfeasibleConfigError, SolverConfig
 
@@ -208,7 +208,7 @@ def test_planted_instance_mode_half_ranges():
     inst = build_planted_instance(base, 0.5, "half", seed=7)
     tg = inst.temporal
     assert tg.m == 30 * 29 // 2 and tg.n == 30
-    base_pairs = set(base.edge_list())
+    base_pairs = set(zip(base.u.tolist(), base.v.tolist()))
     for a, b, t in tg.edge_list():
         if (a, b) in base_pairs:
             assert 0.0 <= t < 0.25
@@ -221,7 +221,7 @@ def test_planted_instance_mode_half_ranges():
 def test_planted_instance_mode_full_ranges():
     base = generate_er(20, 0.5, 6)
     inst = build_planted_instance(base, 0.4, "full", seed=8)
-    base_pairs = set(base.edge_list())
+    base_pairs = set(zip(base.u.tolist(), base.v.tolist()))
     for a, b, t in inst.temporal.edge_list():
         if (a, b) in base_pairs:
             assert 0.0 <= t < 0.4
@@ -243,12 +243,12 @@ def test_planted_instance_validation():
     with pytest.raises(ValueError):
         build_planted_instance(base, 0.0, "half", seed=0)
     with pytest.raises(ValueError):
-        build_planted_instance(StaticGraph.from_edges(1, []), 0.5, "half", seed=0)
+        build_planted_instance(TemporalGraph.from_edges(1, []), 0.5, "half", seed=0)
 
 
 def test_planted_clique_is_recovered():
     """A planted K5 inside an otherwise empty base is the delta/2 optimum."""
-    base = StaticGraph.from_edges(8, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    base = TemporalGraph.from_edges(8, [(i, j, 0.0) for i in range(5) for j in range(i + 1, 5)])
     inst = build_planted_instance(base, 0.4, "half", seed=3)
     from tempclique.solver import max_delta_clique_exact
 

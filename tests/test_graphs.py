@@ -10,7 +10,6 @@ from tempclique.graphs import (
     CliqueResult,
     IntervalTooWide,
     MissingEdge,
-    StaticGraph,
     TemporalGraph,
     delta_clique_check,
     generate_er,
@@ -18,6 +17,7 @@ from tempclique.graphs import (
     is_delta_clique,
 )
 from tempclique.seeds import derive_seed
+from tempclique.solver import max_delta_clique_exact
 
 
 def triangle(l01, l02, l12):
@@ -62,7 +62,7 @@ def test_labels_look_uniform_ks():
 def test_er_extremes():
     assert generate_er(30, 0.0, 5).m == 0
     g = generate_er(4, 1.0, 5)
-    assert g.m == 6
+    assert g.m == 6 and (g.labels == 0.0).all()
 
 
 def test_er_edge_count_mean():
@@ -136,15 +136,6 @@ def test_arrays_are_immutable():
     tg = generate_random_complete(4, 1)
     with pytest.raises(ValueError):
         tg.labels[0] = 0.5
-
-
-def test_static_graph_adjacency():
-    g = StaticGraph.from_edges(4, [(0, 1), (2, 3), (0, 3)])
-    assert g.has_edge(1, 0) and g.has_edge(3, 2) and g.has_edge(0, 3)
-    assert not g.has_edge(1, 2)
-    assert not g.has_edge(0, 0)
-    masks = g.adjacency_masks
-    assert masks[0].bit_count() == 2 and masks[2].bit_count() == 1
 
 
 def test_clique_result_validation():
@@ -227,22 +218,23 @@ def test_predicate_monotone_in_delta(n, seed, delta):
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(deadline=None, max_examples=40)
 def test_window_subgraph_cliques_are_delta_cliques(n, seed):
-    """Any triangle of a width-delta window graph is a delta-clique."""
+    """Any triangle, and a maximum clique, of a width-delta window graph is
+    a delta-clique."""
     delta = 0.3
     tg = generate_random_complete(n, seed)
     for start in (0.0, 0.25, 0.6):
         # the window graph under the checker's predicate: labels x >= start
-        # with x - start <= delta
+        # with x - start <= delta, as a static (zero-label) graph
         keep = (tg.labels >= start) & (tg.labels - start <= delta)
-        g = StaticGraph(n, tg.u[keep], tg.v[keep])
-        masks = g.adjacency_masks
-        for a, b in g.edge_list():
-            common = masks[a] & masks[b]
-            while common:
-                bit = common & -common
-                c = bit.bit_length() - 1
-                common ^= bit
+        g = TemporalGraph(n, tg.u[keep], tg.v[keep], np.zeros(int(keep.sum())))
+        nbrs = [set() for _ in range(n)]
+        for a, b in zip(g.u.tolist(), g.v.tolist()):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for a, b in zip(g.u.tolist(), g.v.tolist()):
+            for c in nbrs[a] & nbrs[b]:
                 assert is_delta_clique(tg, (a, b, c), delta)
+        assert is_delta_clique(tg, max_delta_clique_exact(g, 0.0).clique.vertices, delta)
 
 
 @given(

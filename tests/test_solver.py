@@ -1,8 +1,9 @@
 """Solvers: bruteforce reference, anchored-window exact search, heuristic.
 
 The exact solver is checked against subset enumeration on small instances
-(complete and sparse), and the static branch-and-bound against networkx's
-Bron-Kerbosch enumeration — an independent implementation family.
+(complete and sparse), and the clique number of static graphs (every label
+0, solved at delta = 0) against networkx's Bron-Kerbosch enumeration — an
+independent implementation family.
 """
 
 import re
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempclique.graphs import (
-    StaticGraph,
     TemporalGraph,
     generate_er,
     generate_random_complete,
@@ -32,7 +32,6 @@ from tempclique.solver import (
     max_delta_clique_exact,
     max_delta_clique_heuristic,
     solve_max_delta_clique,
-    static_max_clique,
 )
 
 
@@ -100,25 +99,41 @@ def test_bruteforce_rejects_bad_delta():
 # ------------------------------------------------------------- static clique
 
 
+def static_max_clique(g):
+    """Sorted vertices of a maximum clique of the zero-label graph g."""
+    return max_delta_clique_exact(g, 0.0).clique.vertices
+
+
+def as_networkx(g):
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(zip(g.u.tolist(), g.v.tolist()))
+    return gx
+
+
+def is_nx_clique(gx, verts):
+    return all(gx.has_edge(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :])
+
+
 def test_static_max_clique_complete_and_cycle():
-    k5 = StaticGraph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    k5 = TemporalGraph.from_edges(5, [(i, j, 0.0) for i in range(5) for j in range(i + 1, 5)])
     assert static_max_clique(k5) == (0, 1, 2, 3, 4)
-    c5 = StaticGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    c5 = TemporalGraph.from_edges(5, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 4, 0.0), (0, 4, 0.0)])
     assert len(static_max_clique(c5)) == 2
+    for n in (1, 2, 30, 200):
+        edgeless = generate_er(n, 0.0, n)
+        assert edgeless.m == 0 and static_max_clique(edgeless) == (0,)
 
 
 def test_static_max_clique_matches_bron_kerbosch():
     """100 seeded G(30, 0.5) instances against networkx's enumeration."""
     for i in range(100):
         g = generate_er(30, 0.5, derive_seed(31, i))
-        gx = nx.Graph()
-        gx.add_nodes_from(range(g.n))
-        gx.add_edges_from(g.edge_list())
-        want = max(len(c) for c in nx.find_cliques(gx))
+        gx = as_networkx(g)
         verts = static_max_clique(g)
-        assert len(verts) == want
+        assert len(verts) == max(len(c) for c in nx.find_cliques(gx))
         # witness must actually be a clique
-        assert all(g.has_edge(a, b) for i2, a in enumerate(verts) for b in verts[i2 + 1 :])
+        assert is_nx_clique(gx, verts)
 
 
 @pytest.mark.parametrize("n", [65, 100, 130])
@@ -127,21 +142,19 @@ def test_static_max_clique_matches_bron_kerbosch_beyond_one_word(n):
     for i in range(10):
         p = (0.25, 0.5)[i % 2]
         g = generate_er(n, p, derive_seed(6565, n * 10 + i))
-        gx = nx.Graph()
-        gx.add_nodes_from(range(g.n))
-        gx.add_edges_from(g.edge_list())
+        gx = as_networkx(g)
         verts = static_max_clique(g)
         assert len(verts) == max(len(c) for c in nx.find_cliques(gx))
-        assert all(g.has_edge(a, b) for i2, a in enumerate(verts) for b in verts[i2 + 1 :])
+        assert is_nx_clique(gx, verts)
 
 
 def test_greedy_static_clique_is_valid():
     for i in range(20):
         g = generate_er(40, 0.4, derive_seed(77, i))
+        gx = as_networkx(g)
         verts = greedy_static_clique(g)
-        assert all(g.has_edge(a, b) for i2, a in enumerate(verts) for b in verts[i2 + 1 :])
-        exact_verts = static_max_clique(g)
-        assert len(verts) <= len(exact_verts)
+        assert is_nx_clique(gx, verts)
+        assert len(verts) <= len(static_max_clique(g))
 
 
 # ------------------------------------------------------------------- exact
@@ -293,8 +306,6 @@ def test_missing_compiler_is_infeasible(unbuilt_kernel, monkeypatch):
     tg = generate_random_complete(8, 2)
     with pytest.raises(InfeasibleConfigError, match="needs gcc"):
         max_delta_clique_exact(tg, 0.5)
-    with pytest.raises(InfeasibleConfigError, match="needs gcc"):
-        static_max_clique(generate_er(8, 0.5, 2))
     with pytest.raises(InfeasibleConfigError, match="needs gcc"):
         max_delta_clique_heuristic(tg, 0.5, seed=0)
     # bruteforce never builds or loads the kernel

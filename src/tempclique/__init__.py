@@ -52,7 +52,6 @@ from .solver import (
     BRUTEFORCE_MAX_N,
     InfeasibleConfigError,
     SolveResult,
-    SolverConfig,
     greedy_static_clique,
     max_delta_clique_bruteforce,
     max_delta_clique_exact,

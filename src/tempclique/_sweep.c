@@ -11,6 +11,8 @@
  * of them, one per bit position.  Every function that allocates returns -1
  * when memory runs out.
  */
+/* clock_gettime and CLOCK_MONOTONIC, also under -std=c11 */
+#define _POSIX_C_SOURCE 199309L
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>

@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .graphs import generate_random_complete
 from .io import GraphFormatError, dumps_temporal_graph, read_temporal_graph, write_temporal_graph
-from .solver import InfeasibleConfigError, SolverConfig, solve_max_delta_clique
+from .solver import InfeasibleConfigError, solve_max_delta_clique
 
 
 class _UsageError(Exception):
@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ex.add_argument("--outdir", default=".")
     p_ex.add_argument("--format", choices=("json", "csv"), default="json", help="what to print on stdout")
-    p_ex.add_argument("--budget-secs", type=float, default=None)
     return parser
 
 
@@ -137,14 +136,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(mode=args.mode or "exact", time_budget=args.budget_secs)
-
-
 def _cmd_solve(args) -> int:
     tg = read_temporal_graph(args.infile)
-    cfg = _solver_config(args)
-    res = solve_max_delta_clique(tg, args.delta, cfg, seed=args.seed)
+    res = solve_max_delta_clique(tg, args.delta, args.mode, args.budget_secs, seed=args.seed)
     doc = {
         "size": res.clique.size,
         "vertices": list(res.clique.vertices),
@@ -199,7 +193,7 @@ def _parse_ns(text: str) -> list[int]:
 # Any other experiment flag that is set is a usage error.  The lambdas look
 # the experiment functions up as module globals at call time, so a caller
 # that replaces one of them here (a tracer, say) is honoured.
-_SOLVER_FLAGS = ["mode", "budget_secs"]
+_SOLVER_FLAGS = ["mode"]
 _EXPERIMENTS = {
     "window-prob": (
         ["h", "delta"],
@@ -214,22 +208,22 @@ _EXPERIMENTS = {
     "threshold": (
         ["ns", "delta"],
         _SOLVER_FLAGS,
-        lambda a, seed: threshold_sweep(_parse_ns(a.ns), a.delta, a.trials, _solver_config(a), seed),
+        lambda a, seed: threshold_sweep(_parse_ns(a.ns), a.delta, a.trials, a.mode or "exact", seed),
     ),
     "interval-width": (
         ["n", "delta"],
         _SOLVER_FLAGS,
-        lambda a, seed: interval_width_experiment(a.n, a.delta, a.trials, _solver_config(a), seed),
+        lambda a, seed: interval_width_experiment(a.n, a.delta, a.trials, a.mode or "exact", seed),
     ),
     "reduction": (
         ["n", "delta"],
         _SOLVER_FLAGS,
-        lambda a, seed: reduction_experiment(a.n, a.delta, a.trials, _solver_config(a), seed),
+        lambda a, seed: reduction_experiment(a.n, a.delta, a.trials, a.mode or "exact", seed),
     ),
     "conjecture2": (
         ["n", "delta"],
         _SOLVER_FLAGS,
-        lambda a, seed: conjecture2_probe(a.n, a.delta, a.trials, _solver_config(a), seed),
+        lambda a, seed: conjecture2_probe(a.n, a.delta, a.trials, a.mode or "exact", seed),
     ),
 }
 # The experiment flags that only some experiments read.

@@ -2,12 +2,13 @@
 
 Every experiment takes one master seed and derives per-trial sub-seeds with
 `derive_seed`, so trial i's record is a pure function of (parameters, master
-seed, i) and repeated runs are byte-identical.  Trials run one at a time, in
-index order.  Each run produces an ExperimentReport: per-trial records (always
-including the trial seed and a "value" column) plus mean / sample variance /
-standard error aggregates that can be recomputed from the records.  Reports
-serialize to a per-trial CSV and a JSON aggregate named
-<name>_<params-hash>_<seed>.{csv,json}.
+seed, i) and repeated runs are byte-identical.  The solver experiments take
+a solver mode name and solve without a time budget, so no record depends on
+wall time.  Trials run one at a time, in index order.  Each run produces an
+ExperimentReport: per-trial records (always including the trial seed and a
+"value" column) plus mean / sample variance / standard error aggregates that
+can be recomputed from the records.  Reports serialize to a per-trial CSV and
+a JSON aggregate named <name>_<params-hash>_<seed>.{csv,json}.
 
 Acceptance bands (e.g. three-standard-error envelopes) are computed by the
 callers that assert them; nothing here hard-codes a band.
@@ -39,7 +40,6 @@ from .io import atomic_write_text
 from .seeds import derive_seed, uniform_block
 from .solver import (
     InfeasibleConfigError,
-    SolverConfig,
     greedy_static_clique,
     max_delta_clique_exact,
     solve_max_delta_clique,
@@ -211,7 +211,7 @@ def estimate_clique_count(
 
 
 def _solver_trials(
-    name: str, ns: list[int], delta: float, trials: int, cfg: SolverConfig, seed: int, trial
+    name: str, ns: list[int], delta: float, trials: int, mode: str, seed: int, trial
 ) -> list:
     """Check the inputs of the solver experiment `name`, then run
     trial(n, t, s) for every n in ns and t < trials, n-major.
@@ -233,12 +233,12 @@ def _solver_trials(
     for n in ns:
         if n < 2:
             raise ValueError(f"{name} needs n >= 2")
-        if cfg.mode == "exact" and n > EXACT_SWEEP_MAX_N:
+        if mode == "exact" and n > EXACT_SWEEP_MAX_N:
             raise InfeasibleConfigError(
                 f"exact sweeps are guarded to n <= {EXACT_SWEEP_MAX_N}; "
                 "request the heuristic for larger n"
             )
-        if cfg.mode == "bruteforce":
+        if mode == "bruteforce":
             raise InfeasibleConfigError("sweeps do not run the bruteforce solver")
 
     def one_trial(idx: int) -> dict:
@@ -249,28 +249,28 @@ def _solver_trials(
     return run_indexed(len(ns) * trials, one_trial)
 
 
-def _solve_complete(n: int, delta: float, cfg: SolverConfig, s: int):
+def _solve_complete(n: int, delta: float, mode: str, s: int):
     """Solve the random complete instance of trial seed s at delta."""
     tg = generate_random_complete(n, s)
-    return solve_max_delta_clique(tg, delta, cfg, seed=derive_seed(s, 1))
+    return solve_max_delta_clique(tg, delta, mode, seed=derive_seed(s, 1))
 
 
 def threshold_sweep(
-    ns: list[int], delta: float, trials: int, cfg: SolverConfig, seed: int
+    ns: list[int], delta: float, trials: int, mode: str, seed: int
 ) -> ExperimentReport:
     """Measure omega(n) against the threshold 2 ln n / ln(1/delta), for a
     constant delta in (0, 1).
 
     One record per (n, trial) with the ratio omega/k0 as the value, plus
     per-trial band indicators omega <= ceil(1.25 k0) and omega >= floor(0.5
-    k0).  Trials truncated by a time budget keep optimal = 0 so callers can
-    exclude them from upper-bound assertions (a truncated omega still lower-
-    bounds the true one).
+    k0).  Solves run unbudgeted, so exact trials always have optimal = 1;
+    heuristic ones have optimal = 0, and their omega only lower-bounds the
+    true one.
     """
     ns = [int(n) for n in ns]
 
     def trial(n: int, t: int, s: int) -> dict:
-        res = _solve_complete(n, delta, cfg, s)
+        res = _solve_complete(n, delta, mode, s)
         omega = res.clique.size
         k0 = k0_threshold(n, delta)
         return {
@@ -286,8 +286,8 @@ def threshold_sweep(
             "optimal": int(res.optimal),
         }
 
-    records = _solver_trials("threshold", ns, delta, trials, cfg, seed, trial)
-    params = {"ns": ns, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
+    records = _solver_trials("threshold", ns, delta, trials, mode, seed, trial)
+    params = {"ns": ns, "delta": delta, "trials": trials, "seed": seed, "mode": mode}
     extras = {
         "median_omega": {
             str(n): float(np.median([r["omega"] for r in records if r["n"] == n]))
@@ -303,12 +303,12 @@ def threshold_sweep(
 
 
 def interval_width_experiment(
-    n: int, delta: float, trials: int, cfg: SolverConfig, seed: int
+    n: int, delta: float, trials: int, mode: str, seed: int
 ) -> ExperimentReport:
     """Distribution of the optimum clique's label-interval width, as a share of delta."""
 
     def trial(n: int, t: int, s: int) -> dict:
-        res = _solve_complete(n, delta, cfg, s)
+        res = _solve_complete(n, delta, mode, s)
         width = res.clique.width
         return {
             "trial": t,
@@ -319,8 +319,8 @@ def interval_width_experiment(
             "optimal": int(res.optimal),
         }
 
-    records = _solver_trials("interval-width", [n], delta, trials, cfg, seed, trial)
-    params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
+    records = _solver_trials("interval-width", [n], delta, trials, mode, seed, trial)
+    params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": mode}
     extras = {"median_ratio": float(np.median([r["value"] for r in records]))}
     return ExperimentReport.from_trials("interval_width", params, records, extras)
 
@@ -373,19 +373,20 @@ def build_planted_instance(
     return PlantedInstance(base, tg, mode, (0.0, planted_hi), (delta, 1.0))
 
 
-def _solve_planted(n: int, delta: float, mode: str, cfg: SolverConfig, s: int):
-    """Plant a G(n, delta) base drawn from trial seed s and solve the planted
-    instance at the top of its planted window; returns (planted, result)."""
+def _solve_planted(n: int, delta: float, plant: str, mode: str, s: int):
+    """Plant a G(n, delta) base drawn from trial seed s with the planting
+    mode `plant` and solve the planted instance with the solver `mode` at the
+    top of its planted window; returns (planted, result)."""
     base = generate_er(n, delta, derive_seed(s, 0))
-    planted = build_planted_instance(base, delta, mode, derive_seed(s, 1))
+    planted = build_planted_instance(base, delta, plant, derive_seed(s, 1))
     res = solve_max_delta_clique(
-        planted.temporal, planted.planted_range[1], cfg, seed=derive_seed(s, 2)
+        planted.temporal, planted.planted_range[1], mode, seed=derive_seed(s, 2)
     )
     return planted, res
 
 
 def reduction_experiment(
-    n: int, delta: float, trials: int, cfg: SolverConfig, seed: int
+    n: int, delta: float, trials: int, mode: str, seed: int
 ) -> ExperimentReport:
     """Static-max-clique reduction check on planted instances.
 
@@ -398,7 +399,7 @@ def reduction_experiment(
     """
 
     def trial(n: int, t: int, s: int) -> dict:
-        planted, res = _solve_planted(n, delta, "half", cfg, s)
+        planted, res = _solve_planted(n, delta, "half", mode, s)
         base = planted.base
         greedy_size = len(greedy_static_clique(base))
         return {
@@ -413,8 +414,8 @@ def reduction_experiment(
             "optimal": int(res.optimal),
         }
 
-    records = _solver_trials("reduction", [n], delta, trials, cfg, seed, trial)
-    params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
+    records = _solver_trials("reduction", [n], delta, trials, mode, seed, trial)
+    params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": mode}
     return ExperimentReport.from_trials("reduction", params, records)
 
 
@@ -428,7 +429,7 @@ def _ks_uniform(sample: list[float]) -> float:
 
 
 def conjecture2_probe(
-    n: int, delta: float, trials: int, cfg: SolverConfig, seed: int
+    n: int, delta: float, trials: int, mode: str, seed: int
 ) -> ExperimentReport:
     """Where does the optimum clique's interval sit inside [0, delta]?
 
@@ -441,7 +442,7 @@ def conjecture2_probe(
     """
 
     def trial(n: int, t: int, s: int) -> dict:
-        planted, res = _solve_planted(n, delta, "full", cfg, s)
+        planted, res = _solve_planted(n, delta, "full", mode, s)
         left = res.clique.interval_min
         width = res.clique.width
         slack = delta - width
@@ -456,7 +457,7 @@ def conjecture2_probe(
             "optimal": int(res.optimal),
         }
 
-    records = _solver_trials("conjecture2", [n], delta, trials, cfg, seed, trial)
+    records = _solver_trials("conjecture2", [n], delta, trials, mode, seed, trial)
     lefts = [r["value"] for r in records]
     normalized = [
         r["normalized_left"]
@@ -467,7 +468,7 @@ def conjecture2_probe(
     # the rare trials where a filler-range clique wins (left endpoint > delta)
     hist, edges = np.histogram(lefts, bins=10, range=(0.0, 1.0))
     ks_stat = _ks_uniform(normalized) if normalized else None
-    params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": cfg.mode}
+    params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": mode}
     extras = {
         "histogram_counts": hist.tolist(),
         "histogram_edges": edges.tolist(),

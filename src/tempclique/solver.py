@@ -27,7 +27,9 @@ window.
 Both sweeps admit a label x into the window anchored at t when x - t <= delta,
 the test `delta_clique_check` applies to a witness's interval.  All routes
 re-validate their witness through `delta_clique_check` before returning, so a
-returned clique is always sound.
+returned clique is always sound.  Each route takes only what it reads: the
+exact and heuristic routes an optional wall-time budget, the heuristic a
+seed, and `solve_max_delta_clique` dispatches on a mode name.
 """
 
 from __future__ import annotations
@@ -69,22 +71,6 @@ _VALID_MODES = ("bruteforce", "exact", "heuristic")
 
 class InfeasibleConfigError(ValueError):
     """The requested configuration cannot be run within its guard rails."""
-
-
-@dataclass
-class SolverConfig:
-    """Knobs shared by the solve entry points: the solver mode, and an
-    optional wall-time budget in seconds (None runs unbudgeted; NaN is
-    rejected, since no elapsed time compares against it)."""
-
-    mode: str = "exact"
-    time_budget: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in _VALID_MODES:
-            raise ValueError(f"mode must be one of {_VALID_MODES}")
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise ValueError("time_budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -242,7 +228,6 @@ def max_delta_clique_bruteforce(tg: TemporalGraph, delta: float) -> CliqueResult
     lab = {(1 << a) | (1 << b): t for a, b, t in tg.edge_list()}
     best_verts: tuple[int, ...] = (0,)
     best_size = 1
-    best_lo = best_hi = 0.0
     for mask in range(3, 1 << n):
         size = mask.bit_count()
         if size < 2 or size < best_size:
@@ -274,12 +259,22 @@ def max_delta_clique_bruteforce(tg: TemporalGraph, delta: float) -> CliqueResult
             continue
         if size > best_size or (size == best_size and verts < best_verts):
             best_verts, best_size = verts, size
-            best_lo, best_hi = lo, hi
-    return CliqueResult(best_verts, best_size, best_lo, best_hi)
+    return delta_clique_check(tg, best_verts, delta)
+
+
+def _deadline(t_start: float, time_budget: float | None) -> float | None:
+    """The perf_counter time by which a solve started at t_start must stop,
+    or None when it runs unbudgeted.  A negative or NaN budget is rejected,
+    since no elapsed time compares against NaN."""
+    if time_budget is None:
+        return None
+    if not time_budget >= 0:
+        raise ValueError("time_budget must be nonnegative")
+    return t_start + time_budget
 
 
 def max_delta_clique_exact(
-    tg: TemporalGraph, delta: float, config: SolverConfig | None = None
+    tg: TemporalGraph, delta: float, time_budget: float | None = None
 ) -> SolveResult:
     """Exact solver via the anchored-window sweep of the compiled kernel.
 
@@ -296,13 +291,14 @@ def max_delta_clique_exact(
     after each anchor does not depend on the numbering, so once the sweep has
     finished, the anchor where the incumbent last grew is searched again in
     vertex-id order from the size it had before; that yields the same witness
-    as an id-order sweep.  The result's `stats` holds the kernel's counters
-    (`STAT_NAMES`).
+    as an id-order sweep.  With a time_budget in seconds the sweep stops
+    once it is spent and the result is flagged not optimal.  The result's
+    `stats` holds the kernel's counters (`STAT_NAMES`).
     """
-    cfg = config or SolverConfig(mode="exact")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     t_start = time.perf_counter()
+    deadline = _deadline(t_start, time_budget)
     best: tuple[int, ...] = (0,)
     stats = dict.fromkeys(STAT_NAMES, 0)
     if tg.m > 0:
@@ -313,7 +309,6 @@ def max_delta_clique_exact(
         # renumber before reordering: sorted needles bisect several times faster
         su = np.searchsorted(ids, tg.u)[order]
         sv = np.searchsorted(ids, tg.v)[order]
-        deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
         witness, stats = _run_kernel(
             "tc_sweep",
             ids.size,
@@ -334,7 +329,7 @@ def max_delta_clique_exact(
 
 
 def max_delta_clique_heuristic(
-    tg: TemporalGraph, delta: float, config: SolverConfig | None = None, seed: int = 0
+    tg: TemporalGraph, delta: float, time_budget: float | None = None, seed: int = 0
 ) -> SolveResult:
     """Randomized greedy + local search; valid witness, no optimality claim.
 
@@ -342,12 +337,13 @@ def max_delta_clique_heuristic(
     per edge when there are fewer) and searches, in each, the first of the
     windows anchored there with the most labels, `_RESTARTS` times; restart
     i draws from a numpy Generator seeded with derive_seed(seed, i), so the
-    result is deterministic given (graph, delta, config, seed).
+    result is deterministic given (graph, delta, seed) when no time_budget
+    (in seconds) cuts the search short.
     """
-    cfg = config or SolverConfig(mode="heuristic")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     t_start = time.perf_counter()
+    deadline = _deadline(t_start, time_budget)
     best: list[int] = []
     if tg.m > 0:
         bounds = np.linspace(0, tg.m, min(tg.m, _ANCHORS) + 1).astype(np.int64)
@@ -356,7 +352,6 @@ def max_delta_clique_heuristic(
         addresses = np.array(
             [g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uint64
         )
-        deadline = t_start + cfg.time_budget if cfg.time_budget is not None else None
         best, _ = _run_kernel(
             "tc_heuristic",
             tg.n,
@@ -382,14 +377,23 @@ def max_delta_clique_heuristic(
 
 
 def solve_max_delta_clique(
-    tg: TemporalGraph, delta: float, config: SolverConfig | None = None, seed: int = 0
+    tg: TemporalGraph,
+    delta: float,
+    mode: str = "exact",
+    time_budget: float | None = None,
+    seed: int = 0,
 ) -> SolveResult:
-    """Dispatch on config.mode; bruteforce results are wrapped with optimal=True."""
-    cfg = config or SolverConfig()
-    if cfg.mode == "bruteforce":
-        t_start = time.perf_counter()
-        witness = max_delta_clique_bruteforce(tg, delta)
-        return SolveResult(witness, True, "bruteforce", time.perf_counter() - t_start)
-    if cfg.mode == "exact":
-        return max_delta_clique_exact(tg, delta, cfg)
-    return max_delta_clique_heuristic(tg, delta, cfg, seed=seed)
+    """Dispatch on mode.  The exact and heuristic routes take the time
+    budget, and the heuristic the seed; bruteforce takes no budget, and its
+    results are wrapped with optimal=True."""
+    if mode == "exact":
+        return max_delta_clique_exact(tg, delta, time_budget)
+    if mode == "heuristic":
+        return max_delta_clique_heuristic(tg, delta, time_budget, seed=seed)
+    if mode != "bruteforce":
+        raise ValueError(f"mode must be one of {_VALID_MODES}")
+    if time_budget is not None:
+        raise ValueError("the bruteforce solver takes no time budget")
+    t_start = time.perf_counter()
+    witness = max_delta_clique_bruteforce(tg, delta)
+    return SolveResult(witness, True, "bruteforce", time.perf_counter() - t_start)

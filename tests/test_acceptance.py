@@ -65,7 +65,6 @@ from tempclique.experiments import (
 from tempclique.graphs import generate_random_complete
 from tempclique.seeds import derive_seed
 from tempclique.solver import (
-    SolverConfig,
     max_delta_clique_bruteforce,
     max_delta_clique_exact,
 )
@@ -158,7 +157,7 @@ def _threshold_report() -> ExperimentReport:
     key = "threshold"
     if key not in _CACHE:
         _CACHE[key] = threshold_sweep(
-            SWEEP_NS, 0.3, trials=20, cfg=SolverConfig(mode="exact"),
+            SWEEP_NS, 0.3, trials=20, mode="exact",
             seed=MASTER_SEED,
         )
     return _CACHE[key]
@@ -168,7 +167,7 @@ def _width_report() -> ExperimentReport:
     key = "width"
     if key not in _CACHE:
         _CACHE[key] = interval_width_experiment(
-            200, 0.3, trials=20, cfg=SolverConfig(mode="exact"),
+            200, 0.3, trials=20, mode="exact",
             seed=MASTER_SEED,
         )
     return _CACHE[key]
@@ -178,7 +177,7 @@ def _reduction_report() -> ExperimentReport:
     key = "reduction"
     if key not in _CACHE:
         _CACHE[key] = reduction_experiment(
-            100, 0.5, trials=20, cfg=SolverConfig(mode="exact"),
+            100, 0.5, trials=20, mode="exact",
             seed=MASTER_SEED,
         )
     return _CACHE[key]

@@ -354,8 +354,8 @@ def test_experiment_infeasible_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name, flags, unread",
     [
-        ("window-prob", ["--h", "2", "--delta", "0.5", "--budget-secs", "-1"], "--budget-secs"),
-        ("window-prob", ["--h", "2", "--delta", "0.5", "--budget-secs", "nan"], "--budget-secs"),
+        ("window-prob", ["--h", "2", "--delta", "0.5", "--n", "6"], "--n"),
+        ("window-prob", ["--h", "2", "--delta", "0.5", "--ns", "20,30"], "--ns"),
         ("window-prob", ["--h", "2", "--delta", "0.5", "--mode", "heuristic"], "--mode"),
         ("clique-count", ["--n", "6", "--k", "3", "--delta", "0.4", "--mode", "exact"], "--mode"),
         ("clique-count", ["--n", "6", "--k", "3", "--delta", "0.4", "--h", "2"], "--h"),
@@ -427,13 +427,34 @@ def test_solve_rejects_nan_budget(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: time_budget must be nonnegative\n")
 
 
-def test_experiment_rejects_nan_budget(tmp_path, capsys):
+def test_solve_bruteforce_takes_no_budget(tmp_path, capsys):
+    """Subset enumeration never reads the clock, so a budget would be ignored."""
+    path = tmp_path / "g.json"
+    run_cli(capsys, "generate", "--n", "10", "--seed", "1", "--out", str(path))
+    code, out, err = run_cli(
+        capsys, "solve", "--in", str(path), "--delta", "0.3", "--mode", "bruteforce", "--budget-secs", "1"
+    )
+    assert (code, out, err) == (1, "", "error: the bruteforce solver takes no time budget\n")
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        pytest.param("threshold", ["--ns", "20", "--delta", "0.3"], id="threshold"),
+        pytest.param("window-prob", ["--h", "2", "--delta", "0.5"], id="window-prob"),
+    ],
+)
+@pytest.mark.parametrize("budget", ["1", "-1", "nan"])
+def test_experiment_takes_no_budget(tmp_path, capsys, name, flags, budget):
+    """A budget would make records depend on wall time, and it is not in the
+    params that name the output files."""
     code, out, err = run_cli(
         capsys,
-        "experiment", "--name", "threshold", "--ns", "20", "--delta", "0.3", "--trials", "1",
-        "--seed", "1", "--outdir", str(tmp_path), "--budget-secs", "nan",
+        "experiment", "--name", name, *flags, "--trials", "100", "--seed", "1",
+        "--outdir", str(tmp_path), "--budget-secs", budget,
     )
-    assert (code, out, err) == (1, "", "error: time_budget must be nonnegative\n")
+    assert (code, out) == (1, "")
+    assert err == f"usage error: unrecognized arguments: --budget-secs {budget}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -26,7 +26,7 @@ from tempclique.experiments import (
 )
 from tempclique.graphs import TemporalGraph, generate_er, generate_random_complete, is_delta_clique
 from tempclique.seeds import derive_seed
-from tempclique.solver import InfeasibleConfigError, SolverConfig
+from tempclique.solver import InfeasibleConfigError
 
 
 # ------------------------------------------------------------------ harness
@@ -141,7 +141,7 @@ def test_clique_count_guard():
 
 
 def test_threshold_sweep_small_run_structure():
-    rep = threshold_sweep([20, 30], 0.3, 3, SolverConfig(mode="exact"), seed=17)
+    rep = threshold_sweep([20, 30], 0.3, 3, "exact", seed=17)
     assert len(rep.trials) == 6
     for t in rep.trials:
         assert t["value"] == pytest.approx(t["omega"] / t["k0"], rel=1e-12)
@@ -152,7 +152,7 @@ def test_threshold_sweep_small_run_structure():
 def test_threshold_sweep_bands_at_fifty():
     """At n=50, delta=0.3 (k0 ~ 6.50): omega never exceeds ceil(1.25 k0) and
     never drops below 2 (any edge is a 2-clique)."""
-    rep = threshold_sweep([50], 0.3, 20, SolverConfig(mode="exact"), seed=17)
+    rep = threshold_sweep([50], 0.3, 20, "exact", seed=17)
     k0 = rep.extras["k0"]["50"]
     assert k0 == pytest.approx(6.50, abs=0.005)
     for t in rep.trials:
@@ -163,8 +163,8 @@ def test_threshold_sweep_bands_at_fifty():
 
 def test_threshold_sweep_seeds_do_not_depend_on_ns_list():
     """Trial (n, t) gets the same seed whether or not other n values run."""
-    both = threshold_sweep([20, 30], 0.3, 2, SolverConfig(mode="exact"), seed=17)
-    only30 = threshold_sweep([30], 0.3, 2, SolverConfig(mode="exact"), seed=17)
+    both = threshold_sweep([20, 30], 0.3, 2, "exact", seed=17)
+    only30 = threshold_sweep([30], 0.3, 2, "exact", seed=17)
     recs_both = [t for t in both.trials if t["n"] == 30]
     for a, b in zip(recs_both, only30.trials):
         assert a["seed"] == b["seed"] and a["omega"] == b["omega"]
@@ -172,13 +172,13 @@ def test_threshold_sweep_seeds_do_not_depend_on_ns_list():
 
 def test_threshold_sweep_guards():
     with pytest.raises(InfeasibleConfigError):
-        threshold_sweep([EXACT_SWEEP_MAX_N + 1], 0.3, 2, SolverConfig(mode="exact"), seed=1)
+        threshold_sweep([EXACT_SWEEP_MAX_N + 1], 0.3, 2, "exact", seed=1)
     with pytest.raises(InfeasibleConfigError):
-        threshold_sweep([10], 0.3, 2, SolverConfig(mode="bruteforce"), seed=1)
+        threshold_sweep([10], 0.3, 2, "bruteforce", seed=1)
     with pytest.raises(ValueError):
-        threshold_sweep([20], 1.5, 2, SolverConfig(mode="exact"), seed=1)
+        threshold_sweep([20], 1.5, 2, "exact", seed=1)
     # heuristic misses the n quard
-    rep = threshold_sweep([EXACT_SWEEP_MAX_N + 1], 0.3, 1, SolverConfig(mode="heuristic"), seed=1)
+    rep = threshold_sweep([EXACT_SWEEP_MAX_N + 1], 0.3, 1, "heuristic", seed=1)
     assert len(rep.trials) == 1
 
 
@@ -186,7 +186,7 @@ def test_threshold_sweep_guards():
 
 
 def test_interval_width_ratios_are_at_most_one():
-    rep = interval_width_experiment(40, 0.3, 5, SolverConfig(mode="exact"), seed=12)
+    rep = interval_width_experiment(40, 0.3, 5, "exact", seed=12)
     for t in rep.trials:
         assert 0.0 <= t["value"] <= 1.0
         assert t["width"] == pytest.approx(t["value"] * 0.3, rel=1e-12, abs=1e-15)
@@ -195,8 +195,8 @@ def test_interval_width_ratios_are_at_most_one():
 
 def test_interval_width_ratio_grows_with_n():
     """Median width ratio at n=200 shouldn't fall below the n=50 one by > 0.05."""
-    small = interval_width_experiment(50, 0.3, 20, SolverConfig(mode="exact"), seed=14)
-    large = interval_width_experiment(200, 0.3, 20, SolverConfig(mode="exact"), seed=14)
+    small = interval_width_experiment(50, 0.3, 20, "exact", seed=14)
+    large = interval_width_experiment(200, 0.3, 20, "exact", seed=14)
     assert large.extras["median_ratio"] >= small.extras["median_ratio"] - 0.05
 
 
@@ -260,7 +260,7 @@ def test_planted_clique_is_recovered():
 
 
 def test_reduction_experiment_small_run():
-    rep = reduction_experiment(40, 0.5, 10, SolverConfig(mode="exact"), seed=19)
+    rep = reduction_experiment(40, 0.5, 10, "exact", seed=19)
     assert len(rep.trials) == 10
     for t in rep.trials:
         assert t["base_clique"] == 1
@@ -274,7 +274,7 @@ def test_reduction_experiment_small_run():
 
 
 def test_conjecture2_probe_reports_histogram_and_ks():
-    rep = conjecture2_probe(30, 0.4, 12, SolverConfig(mode="exact"), seed=31)
+    rep = conjecture2_probe(30, 0.4, 12, "exact", seed=31)
     assert len(rep.trials) == 12
     assert sum(rep.extras["histogram_counts"]) == 12
     assert len(rep.extras["histogram_edges"]) == 11

@@ -26,7 +26,6 @@ from tempclique.seeds import derive_seed
 from tempclique.solver import (
     BRUTEFORCE_MAX_N,
     InfeasibleConfigError,
-    SolverConfig,
     greedy_static_clique,
     max_delta_clique_bruteforce,
     max_delta_clique_exact,
@@ -217,8 +216,7 @@ def test_exact_duplicate_labels_are_handled():
 
 def test_exact_budget_truncation_is_flagged():
     tg = generate_random_complete(80, 1)
-    cfg = SolverConfig(mode="exact", time_budget=0.0)
-    res = max_delta_clique_exact(tg, 0.9, cfg)
+    res = max_delta_clique_exact(tg, 0.9, time_budget=0.0)
     assert not res.optimal
     assert is_delta_clique(tg, res.clique.vertices, 0.9)
 
@@ -260,7 +258,7 @@ def test_exact_stats_flag_a_hit_budget():
     """A budget spent before the first anchor still returns a 2-clique: the
     first edge in label order, which seeds the incumbent."""
     tg = generate_random_complete(30, 1)
-    res = max_delta_clique_exact(tg, 0.5, SolverConfig(mode="exact", time_budget=0.0))
+    res = max_delta_clique_exact(tg, 0.5, time_budget=0.0)
     assert not res.optimal
     assert res.stats["budget_hit"] == 1 and res.stats["anchors"] == 0
     e = int(np.argmin(tg.labels))
@@ -273,7 +271,7 @@ def test_exact_budget_stops_inside_an_anchor_search():
     check every 1024 nodes has to stop it."""
     g = generate_er(150, 0.9, 1)
     tg = TemporalGraph(g.n, g.u, g.v, np.full(g.m, 0.5))
-    res = max_delta_clique_exact(tg, 0.0, SolverConfig(mode="exact", time_budget=0.2))
+    res = max_delta_clique_exact(tg, 0.0, time_budget=0.2)
     assert not res.optimal and res.stats["budget_hit"] == 1
     assert res.stats["anchors"] == 1 and res.stats["colorings"] < res.stats["nodes"]
     assert res.wall_time < 1.5
@@ -283,7 +281,7 @@ def test_exact_budget_stops_inside_an_anchor_search():
 def test_stats_are_empty_outside_exact_mode():
     tg = generate_random_complete(9, 4)
     for mode in ("bruteforce", "heuristic"):
-        assert solve_max_delta_clique(tg, 0.4, SolverConfig(mode=mode)).stats == {}
+        assert solve_max_delta_clique(tg, 0.4, mode).stats == {}
 
 
 @pytest.fixture
@@ -361,14 +359,13 @@ def test_heuristic_tracks_bruteforce_within_one(monkeypatch):
     """On n <= 12 the heuristic should land within 1 of optimal >= 95% of runs,
     even with 2 restarts per window in place of the default 8."""
     monkeypatch.setattr(solver_module, "_RESTARTS", 2)
-    cfg = SolverConfig(mode="heuristic")
     total, close = 0, 0
     for i in range(100):
         n = 8 + (i % 5)
         tg = generate_random_complete(n, derive_seed(60, i))
         d = (0.2, 0.5, 0.8)[i % 3]
         bf = max_delta_clique_bruteforce(tg, d)
-        hr = max_delta_clique_heuristic(tg, d, cfg, seed=i)
+        hr = max_delta_clique_heuristic(tg, d, seed=i)
         assert hr.clique.size <= bf.size
         total += 1
         close += hr.clique.size >= bf.size - 1
@@ -395,8 +392,7 @@ def test_heuristic_sparse_graph():
 
 def test_heuristic_respects_time_budget():
     tg = generate_random_complete(300, 8)
-    cfg = SolverConfig(mode="heuristic", time_budget=0.05)
-    res = max_delta_clique_heuristic(tg, 0.5, cfg, seed=0)
+    res = max_delta_clique_heuristic(tg, 0.5, time_budget=0.05, seed=0)
     assert res.wall_time < 2.0
     assert is_delta_clique(tg, res.clique.vertices, 0.5)
 
@@ -594,9 +590,9 @@ def test_heuristic_witness_matches_numpy_oracle_at_default_effort(n):
 
 def test_solve_dispatches_all_modes():
     tg = generate_random_complete(9, 4)
-    bf = solve_max_delta_clique(tg, 0.4, SolverConfig(mode="bruteforce"))
-    ex = solve_max_delta_clique(tg, 0.4, SolverConfig(mode="exact"))
-    hr = solve_max_delta_clique(tg, 0.4, SolverConfig(mode="heuristic"), seed=2)
+    bf = solve_max_delta_clique(tg, 0.4, "bruteforce")
+    ex = solve_max_delta_clique(tg, 0.4, "exact")
+    hr = solve_max_delta_clique(tg, 0.4, "heuristic", seed=2)
     assert bf.mode == "bruteforce" and bf.optimal
     assert ex.mode == "exact" and ex.optimal
     assert hr.mode == "heuristic"
@@ -605,13 +601,19 @@ def test_solve_dispatches_all_modes():
         assert res.wall_time >= 0.0
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(mode="magic")
-    with pytest.raises(ValueError):
-        SolverConfig(time_budget=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(time_budget=float("nan"))
+def test_solve_rejects_bad_modes_and_budgets():
+    """NaN compares false against everything, so it would read as no budget;
+    bruteforce never reads the clock, so any budget given to it is refused."""
+    tg = generate_random_complete(9, 4)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        solve_max_delta_clique(tg, 0.4, "magic")
+    for mode in ("exact", "heuristic"):
+        for budget in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="^time_budget must be nonnegative$"):
+                solve_max_delta_clique(tg, 0.4, mode, budget)
+    for budget in (0.0, 1.0, float("inf")):
+        with pytest.raises(ValueError, match="^the bruteforce solver takes no time budget$"):
+            solve_max_delta_clique(tg, 0.4, "bruteforce", budget)
 
 
 # --------------------------------------------------- relabeled search witness

@@ -323,8 +323,8 @@ done:
 }
 
 /* numpy's bitgen_t (numpy/random/bitgen.h).  The heuristic's caller passes
- * the address of each restart's Generator bit generator, so every draw
- * advances numpy's own state, 32-bit buffering included. */
+ * the address of each restart's PCG64 bit generator, so every draw advances
+ * numpy's own state, 32-bit buffering included. */
 typedef struct {
     void *state;
     uint64_t (*next_uint64)(void *st);
@@ -505,20 +505,6 @@ static void improve(Heur *H, bitgen_t *g, int64_t rounds, int64_t plateau) {
     }
 }
 
-/* The number of entries of the nondecreasing x[0..len) below y, or at most
- * y when `upto`. */
-static int64_t rank(const double *x, int64_t len, double y, int upto) {
-    int64_t lo = 0, hi = len;
-    while (lo < hi) {
-        const int64_t mid = (lo + hi) / 2;
-        if (x[mid] < y || (upto && x[mid] == y))
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
 /* The heuristic over `windows` windows, one per slice of the sorted labels
  * slab[0..m): slice j holds the anchors bounds[j]..bounds[j+1]-1, which are
  * nonempty and ascending.  The window anchored at a holds the labels
@@ -534,10 +520,17 @@ static int64_t rank(const double *x, int64_t len, double y, int upto) {
  * counts the windows that end below its label and leave those that start at
  * or below it.  Both grow with the label, so the segment enter + leave names
  * one (enter, leave) pair; the edges are bucketed by segment once, and each
- * window is the previous one plus and minus whole segments.
+ * window is the previous one plus and minus whole segments.  The two counts
+ * come from a table over the CELLS cells of [0, 1]: a label x lies in cell
+ * k = (int64_t)(x * CELLS), and entry k holds both counts for the label
+ * (k - 1) / CELLS, which no label in cell k is below.  From there the exact
+ * tests step past the window bounds in between, so placing an edge takes
+ * O(1) steps, not a binary search, unless many bounds crowd two cells.
  *
  * Writes the incumbent in list order to `witness` (n entries) and returns
  * its size; stats receives ST_BUDGET_HIT. */
+enum { CELLS = 4096 };
+
 int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, const double *lab,
                      const double *slab, double delta, int64_t windows, const int64_t *bounds,
                      int64_t restarts, const uint64_t *gens, int64_t pool, int64_t rounds,
@@ -565,8 +558,10 @@ int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, c
     uint32_t *pairs = malloc(2 * (size_t)m * sizeof(uint32_t));
     double *lo = malloc((size_t)windows * sizeof(double));
     double *hi = malloc((size_t)windows * sizeof(double));
+    /* (enter, leave) pairs, one per cell and one for the label 1 */
+    int64_t *cell = malloc(2 * ((size_t)CELLS + 1) * sizeof(int64_t));
     ok = ok && H.deg && H.cnt && H.in_c && H.cand && H.mask && seg && first && enter && leave;
-    ok = ok && pairs && lo && hi;
+    ok = ok && pairs && lo && hi && cell;
     for (int i = 0; i < 4; i++) ok = ok && (H.buf[i] = malloc(((size_t)n + 1) * sizeof(int64_t)));
     if (!ok) goto done;
     for (int64_t j = 0, end = 0; j < windows; j++) {
@@ -580,8 +575,20 @@ int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, c
             }
         }
     }
+    for (int64_t k = 0, a = 0, b = 0; k <= CELLS; k++) {
+        const double t = (double)(k - 1) / CELLS;
+        while (a < windows && hi[a] < t) a++;
+        while (b < windows && lo[b] <= t) b++;
+        cell[2 * k] = a;
+        cell[2 * k + 1] = b;
+    }
     for (int64_t e = 0; e < m; e++) {
-        const int64_t a = rank(hi, windows, lab[e], 0), b = rank(lo, windows, lab[e], 1);
+        /* labels are finite and in [0, 1], so 0 <= k <= CELLS */
+        const double x = lab[e];
+        const int64_t k = (int64_t)(x * CELLS);
+        int64_t a = cell[2 * k], b = cell[2 * k + 1];
+        while (a < windows && hi[a] < x) a++;
+        while (b < windows && lo[b] <= x) b++;
         seg[e] = (int32_t)(a + b);
         enter[a + b] = a;
         leave[a + b] = b;
@@ -636,5 +643,6 @@ done:
     free(pairs);
     free(lo);
     free(hi);
+    free(cell);
     return size;
 }

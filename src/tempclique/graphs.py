@@ -43,11 +43,11 @@ def _as_edge_arrays(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
         if not (u < v).all():
             raise ValueError("edges must be canonical pairs with u < v")
         # compare (u, v) pairs directly: a key like u * n + v wraps in int64
-        du = np.diff(u)
-        dv = np.diff(v)
-        if ((du == 0) & (dv == 0)).any():
-            raise ValueError("duplicate edge in edge list")
-        if ((du < 0) | ((du == 0) & (dv < 0))).any():
+        u0, u1, v0, v1 = u[:-1], u[1:], v[:-1], v[1:]
+        same = u0 == u1
+        if not ((u0 < u1) | (same & (v0 < v1))).all():
+            if (same & (v0 == v1)).any():
+                raise ValueError("duplicate edge in edge list")
             raise ValueError("edges must be sorted lexicographically by (u, v)")
     return u, v
 

@@ -21,7 +21,7 @@ window.
   0, so its clique number is the exact solve at delta = 0.
 * heuristic: randomized greedy plus add, (1,2)-swap and plateau local search
   over a spread of anchored windows, in the same kernel on bitsets of all n
-  vertices, drawing from numpy Generators it is handed; valid but not
+  vertices, drawing from numpy bit generators it is handed; valid but not
   necessarily optimal.
 
 Both sweeps admit a label x into the window anchored at t when x - t <= delta,
@@ -101,6 +101,11 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 # the kernel's adjacency is n rows of ceil(n / 64) words
 _KERNEL_MAX_BYTES = 1 << 30
 _kernel = None
+# a bit generator's `capsule` holds its bitgen_t; this reads the address
+# without building the ctypes function wrappers of `.ctypes`
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
@@ -336,7 +341,8 @@ def max_delta_clique_heuristic(
     The kernel cuts the label-sorted edges into `_ANCHORS` equal slices (one
     per edge when there are fewer) and searches, in each, the first of the
     windows anchored there with the most labels, `_RESTARTS` times; restart
-    i draws from a numpy Generator seeded with derive_seed(seed, i), so the
+    i draws from a numpy PCG64 bit generator seeded with derive_seed(seed, i),
+    the stream of `np.random.default_rng(derive_seed(seed, i))`, so the
     result is deterministic given (graph, delta, seed) when no time_budget
     (in seconds) cuts the search short.
     """
@@ -348,9 +354,11 @@ def max_delta_clique_heuristic(
     if tg.m > 0:
         bounds = np.linspace(0, tg.m, min(tg.m, _ANCHORS) + 1).astype(np.int64)
         windows = bounds.size - 1
-        gens = [np.random.default_rng(derive_seed(seed, i)) for i in range(windows * _RESTARTS)]
+        # the kernel draws through each bit generator's bitgen_t, which the
+        # list keeps alive for the call
+        gens = [np.random.PCG64(derive_seed(seed, i)) for i in range(windows * _RESTARTS)]
         addresses = np.array(
-            [g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uint64
+            [_capsule_pointer(g.capsule, b"BitGenerator") for g in gens], dtype=np.uint64
         )
         best, _ = _run_kernel(
             "tc_heuristic",

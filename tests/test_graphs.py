@@ -105,6 +105,30 @@ def test_canonical_order_holds_beyond_int64_keys(first_last):
         TemporalGraph(n, np.array([n - 2, 0]), np.array([n - 1, 1]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("n", [6, 2**32])
+def test_edge_order_faults_are_told_apart(n):
+    """The constructor names a duplicate before a disorder, wherever in the
+    array each lies, and a disorder alone as one; at n = 2**32 the ids near
+    n would wrap a key u * n + v."""
+    a, b, c, d = n - 4, n - 3, n - 2, n - 1
+
+    def build(pairs):
+        u, v = np.array(pairs, dtype=np.int64).T
+        return TemporalGraph(n, u, v, np.full(len(pairs), 0.5))
+
+    for pairs in (
+        [(a, c), (a, b), (b, d), (b, d)],
+        [(b, d), (b, d), (a, c), (a, b)],
+        [(a, b), (a, d), (a, c), (a, c)],
+    ):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            build(pairs)
+    for pairs in ([(a, c), (a, b), (b, d)], [(b, c), (a, d)], [(a, b), (c, d), (b, c)]):
+        with pytest.raises(ValueError, match="must be sorted"):
+            build(pairs)
+    assert build([(a, b), (a, c), (b, d), (c, d)]).m == 4
+
+
 def test_self_loops_rejected():
     with pytest.raises(ValueError):
         TemporalGraph.from_edges(3, [(1, 1, 0.5)])

@@ -578,6 +578,39 @@ def test_heuristic_witness_matches_numpy_oracle_around_the_score_switch(monkeypa
             assert res.clique.vertices == numpy_heuristic(tg, 0.9, i), (n, i)
 
 
+def cell_edge_instances(n, count, salt):
+    """Complete and sparse instances whose labels sit on the edges of the
+    kernel's label-lookup cells, the multiples of 1/4096: half of them
+    exactly, 0 and 1 always among those, the rest one ulp below or above.
+    The edges come from all 4097, from the multiples of 1/8, which the
+    bounds of windows at delta = k/8 then meet exactly, or from those and
+    the edges either side of them."""
+    eighths = np.arange(0, 4097, 512)
+    grids = (np.arange(4097), eighths, np.clip(eighths[:, None] + [-1, 0, 1], 0, 4096).ravel())
+    for i in range(count):
+        s = derive_seed(salt, n * 1000 + i)
+        tg = generate_random_complete(n, s)
+        if i % 2:
+            tg = with_isolated_vertices(sparse_instance(n, 0.5, s), 1 + n // 4, s)
+        rng = np.random.default_rng(s)
+        labels = rng.choice(grids[i % 3], tg.m) / 4096
+        off = rng.random(tg.m) < 0.5
+        labels[off] = np.nextafter(labels[off], rng.choice((0.0, 1.0), int(off.sum())))
+        labels[rng.choice(tg.m, 2, replace=False)] = (0.0, 1.0)
+        yield i, TemporalGraph(tg.n, tg.u, tg.v, labels), (0, 1, 2, 4, 7, 8)[i // 2 % 6] / 8
+
+
+@pytest.mark.parametrize("anchors", [4, solver_module._ANCHORS])
+@pytest.mark.parametrize("n", [20, 65])
+def test_heuristic_witness_matches_numpy_oracle_on_cell_edges(monkeypatch, n, anchors):
+    """Labels on and beside the lookup's cell edges and window bounds, delta
+    from 0 to 1 in eighths."""
+    monkeypatch.setattr(solver_module, "_ANCHORS", anchors)
+    for i, tg, d in cell_edge_instances(n, 12, 4096):
+        res = max_delta_clique_heuristic(tg, d, seed=i)
+        assert res.clique.vertices == numpy_heuristic(tg, d, i), (n, i, d, tg.m)
+
+
 @pytest.mark.parametrize("n", [20, 65, 129])
 def test_heuristic_witness_matches_numpy_oracle_at_default_effort(n):
     for i, tg, d in oracle_instances(n, 4, 8181):

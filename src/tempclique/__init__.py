@@ -25,7 +25,6 @@ from .experiments import (
     conjecture2_probe,
     estimate_clique_count,
     estimate_window_probability,
-    interval_width_experiment,
     reduction_experiment,
     threshold_sweep,
 )

@@ -13,6 +13,7 @@
  */
 /* clock_gettime and CLOCK_MONOTONIC, also under -std=c11 */
 #define _POSIX_C_SOURCE 199309L
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -40,7 +41,7 @@ typedef struct {
     size_t pool_words;
     int32_t *order;    /* (vertex, color) pairs of the colorings, stacked by depth */
     size_t order_len;
-    int has_deadline;
+    int has_deadline;  /* 0 for the unbudgeted deadline +inf: the clock is never read */
     double deadline;
     int timed_out;
     int64_t *stats;
@@ -203,10 +204,10 @@ static int relabel(Search *S, int64_t n, int64_t *pos, int64_t *inv) {
     return 0;
 }
 
-static int search_init(Search *S, int64_t n, int has_deadline, double deadline, int64_t *stats) {
+static int search_init(Search *S, int64_t n, double deadline, int64_t *stats) {
     memset(S, 0, sizeof *S);
     S->W = (n + 63) / 64;
-    S->has_deadline = has_deadline;
+    S->has_deadline = deadline < INFINITY;
     S->deadline = deadline;
     S->stats = stats;
     S->adj = calloc((size_t)n * S->W + 1, sizeof(uint64_t));
@@ -247,13 +248,13 @@ static int64_t window_end(const double *slab, int64_t m, int64_t hi, double t, d
  * and returns its size.  stats receives ST_COUNT counters.  Returns -1 when
  * memory runs out. */
 int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, const double *slab,
-                 double delta, int has_deadline, double deadline, int64_t *witness, int64_t *stats) {
+                 double delta, double deadline, int64_t *witness, int64_t *stats) {
     Search S;
     int64_t *pos = malloc((size_t)n * sizeof(int64_t));
     int64_t *inv = malloc((size_t)n * sizeof(int64_t));
     int64_t size = -1;
     memset(stats, 0, ST_COUNT * sizeof(int64_t));
-    if (search_init(&S, n, has_deadline, deadline, stats) || !pos || !inv) goto done;
+    if (search_init(&S, n, deadline, stats) || !pos || !inv) goto done;
     for (int64_t v = 0; v < n; v++) pos[v] = inv[v] = v;
     S.best = size = 2;
     witness[0] = su[0];
@@ -264,7 +265,7 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
         for (const int64_t end = window_end(slab, m, hi, slab[a], delta); hi < end; hi++)
             set_edge(&S, pos[su[hi]], pos[sv[hi]]);
         if (a > 0) clear_edge(&S, pos[su[a - 1]], pos[sv[a - 1]]);
-        if (has_deadline && now() > deadline) {
+        if (S.has_deadline && now() > deadline) {
             stats[ST_BUDGET_HIT] = 1;
             break;
         }
@@ -534,15 +535,14 @@ enum { CELLS = 4096 };
 int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, const double *lab,
                      const double *slab, double delta, int64_t windows, const int64_t *bounds,
                      int64_t restarts, const uint64_t *gens, int64_t pool, int64_t rounds,
-                     int64_t plateau, int has_deadline, double deadline, int64_t *witness,
-                     int64_t *stats) {
+                     int64_t plateau, double deadline, int64_t *witness, int64_t *stats) {
     Heur H;
     int64_t size = -1;
     const int64_t nseg = 2 * windows + 1;
     memset(&H, 0, sizeof H);
     memset(stats, 0, ST_COUNT * sizeof(int64_t));
     H.n = n;
-    int ok = !search_init(&H.S, n, 0, 0.0, stats);
+    int ok = !search_init(&H.S, n, deadline, stats);
     const int64_t W = H.S.W;
     H.clique = H.S.rstack;
     H.deg = malloc((size_t)n * sizeof(int64_t));
@@ -620,7 +620,7 @@ int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, c
                 H.S.best = H.k;
                 memcpy(H.S.best_set, H.clique, (size_t)H.k * sizeof(int64_t));
             }
-            if (has_deadline && now() > deadline) {
+            if (H.S.has_deadline && now() > deadline) {
                 stats[ST_BUDGET_HIT] = 1;
                 break;
             }

@@ -78,6 +78,22 @@ def log_choose(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
+def comb_below(n: int, k: int, limit: int) -> int | None:
+    """C(n, k) when it is below `limit`, else None, for 0 <= k <= n.
+
+    Builds C(n, i) = C(n, i - 1) (n - i + 1) / i exactly for i up to
+    min(k, n - k), where it never decreases, and stops once it reaches
+    `limit`; since C(n, i) >= 2^i there, that takes at most log2(limit) + 1
+    steps, however large n and k are.
+    """
+    c = 1
+    for i in range(min(k, n - k)):
+        if c >= limit:
+            break
+        c = c * (n - i) // (i + 1)
+    return c if c < limit else None
+
+
 def expected_clique_count(n: int, k: int, delta: float) -> float:
     """E[number of delta-temporal k-cliques] in a labeled complete graph on n vertices.
 
@@ -90,9 +106,9 @@ def expected_clique_count(n: int, k: int, delta: float) -> float:
         raise ValueError("require 1 <= k <= n")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    c = comb(n, k)
+    c = comb_below(n, k, _EXACT_FLOAT_LIMIT)
     h = comb(k, 2)
-    if c < _EXACT_FLOAT_LIMIT:
+    if c is not None:
         return c * window_probability(h, delta)
     return exp(log_choose(n, k) + log_window_probability(h, delta))
 

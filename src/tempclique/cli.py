@@ -26,7 +26,6 @@ from .experiments import (
     conjecture2_probe,
     estimate_clique_count,
     estimate_window_probability,
-    interval_width_experiment,
     reduction_experiment,
     threshold_sweep,
 )
@@ -209,11 +208,6 @@ _EXPERIMENTS = {
         ["ns", "delta"],
         _SOLVER_FLAGS,
         lambda a, seed: threshold_sweep(_parse_ns(a.ns), a.delta, a.trials, a.mode or "exact", seed),
-    ),
-    "interval-width": (
-        ["n", "delta"],
-        _SOLVER_FLAGS,
-        lambda a, seed: interval_width_experiment(a.n, a.delta, a.trials, a.mode or "exact", seed),
     ),
     "reduction": (
         ["n", "delta"],

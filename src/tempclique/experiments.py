@@ -23,12 +23,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import ceil, comb, floor
+from math import ceil, floor
 from pathlib import Path
 
 import numpy as np
 
-from .analytics import k0_threshold, window_probability
+from .analytics import comb_below, k0_threshold, window_probability
 from .graphs import (
     TemporalGraph,
     _pair_index,
@@ -185,10 +185,10 @@ def estimate_clique_count(
         raise ValueError("require 1 <= k <= n")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    n_subsets = comb(n, k)
-    if n_subsets > CLIQUE_COUNT_MAX_SUBSETS:
+    n_subsets = comb_below(n, k, CLIQUE_COUNT_MAX_SUBSETS + 1)
+    if n_subsets is None:
         raise InfeasibleConfigError(
-            f"C({n}, {k}) = {n_subsets} exceeds the {CLIQUE_COUNT_MAX_SUBSETS} subset guard"
+            f"C({n}, {k}) exceeds the {CLIQUE_COUNT_MAX_SUBSETS} subset guard"
         )
     _, edge_idx = _subset_edge_indices(n, k)
 
@@ -265,15 +265,16 @@ def threshold_sweep(
     per-trial band indicators omega <= ceil(1.25 k0) and omega >= floor(0.5
     k0).  Solves run unbudgeted, so exact trials always have optimal = 1;
     heuristic ones have optimal = 0, and their omega only lower-bounds the
-    true one.
+    true one.  The extras carry, per n, each trial's optimum interval width
+    as a share of delta (`width_ratio`, in trial order) and its median.
     """
     ns = [int(n) for n in ns]
 
-    def trial(n: int, t: int, s: int) -> dict:
+    def trial(n: int, t: int, s: int) -> tuple[dict, float]:
         res = _solve_complete(n, delta, mode, s)
         omega = res.clique.size
         k0 = k0_threshold(n, delta)
-        return {
+        record = {
             "n": n,
             "trial": t,
             "seed": s,
@@ -285,8 +286,13 @@ def threshold_sweep(
             "lower_ok": int(omega >= floor(0.5 * k0)),
             "optimal": int(res.optimal),
         }
+        return record, res.clique.width / delta
 
-    records = _solver_trials("threshold", ns, delta, trials, mode, seed, trial)
+    outcomes = _solver_trials("threshold", ns, delta, trials, mode, seed, trial)
+    records = [record for record, _ in outcomes]
+    width_ratio = {
+        str(n): [ratio for record, ratio in outcomes if record["n"] == n] for n in ns
+    }
     params = {"ns": ns, "delta": delta, "trials": trials, "seed": seed, "mode": mode}
     extras = {
         "median_omega": {
@@ -298,31 +304,10 @@ def threshold_sweep(
             for n in ns
         },
         "k0": {str(n): k0_threshold(n, delta) for n in ns},
+        "width_ratio": width_ratio,
+        "median_width_ratio": {n: float(np.median(r)) for n, r in width_ratio.items()},
     }
     return ExperimentReport.from_trials("threshold_sweep", params, records, extras)
-
-
-def interval_width_experiment(
-    n: int, delta: float, trials: int, mode: str, seed: int
-) -> ExperimentReport:
-    """Distribution of the optimum clique's label-interval width, as a share of delta."""
-
-    def trial(n: int, t: int, s: int) -> dict:
-        res = _solve_complete(n, delta, mode, s)
-        width = res.clique.width
-        return {
-            "trial": t,
-            "seed": s,
-            "value": width / delta,
-            "omega": res.clique.size,
-            "width": width,
-            "optimal": int(res.optimal),
-        }
-
-    records = _solver_trials("interval-width", [n], delta, trials, mode, seed, trial)
-    params = {"n": n, "delta": delta, "trials": trials, "seed": seed, "mode": mode}
-    extras = {"median_ratio": float(np.median([r["value"] for r in records]))}
-    return ExperimentReport.from_trials("interval_width", params, records, extras)
 
 
 @dataclass(frozen=True)
@@ -331,15 +316,13 @@ class PlantedInstance:
     graph whose labels are all 0, as `generate_er` draws it).
 
     Base edges carry labels from `planted_range`; all other pairs carry
-    labels from `filler_range`, which starts at delta so no filler label can
-    fall inside a planted window that starts below it.
+    labels from [delta, 1), so no filler label can fall inside a planted
+    window that starts below delta.
     """
 
     base: TemporalGraph
     temporal: TemporalGraph
-    mode: str
     planted_range: tuple[float, float]
-    filler_range: tuple[float, float]
 
 
 def build_planted_instance(
@@ -370,7 +353,7 @@ def build_planted_instance(
     labels[mask] = rng.random(int(mask.sum())) * planted_hi
     labels[~mask] = delta + rng.random(int(m - mask.sum())) * (1.0 - delta)
     tg = TemporalGraph(n, iu.astype(np.int64), iv.astype(np.int64), labels)
-    return PlantedInstance(base, tg, mode, (0.0, planted_hi), (delta, 1.0))
+    return PlantedInstance(base, tg, (0.0, planted_hi))
 
 
 def _solve_planted(n: int, delta: float, plant: str, mode: str, s: int):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -111,10 +112,10 @@ _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
 _SIGNATURES = {
     "tc_sweep": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_double,
-                 ctypes.c_int, ctypes.c_double, _i64, _i64],
+                 ctypes.c_double, _i64, _i64],
     "tc_heuristic": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, _f64, ctypes.c_double,
                      ctypes.c_int64, _i64, ctypes.c_int64, _u64, ctypes.c_int64, ctypes.c_int64,
-                     ctypes.c_int64, ctypes.c_int, ctypes.c_double, _i64, _i64],
+                     ctypes.c_int64, ctypes.c_double, _i64, _i64],
 }
 
 
@@ -267,12 +268,13 @@ def max_delta_clique_bruteforce(tg: TemporalGraph, delta: float) -> CliqueResult
     return delta_clique_check(tg, best_verts, delta)
 
 
-def _deadline(t_start: float, time_budget: float | None) -> float | None:
+def _deadline(t_start: float, time_budget: float | None) -> float:
     """The perf_counter time by which a solve started at t_start must stop,
-    or None when it runs unbudgeted.  A negative or NaN budget is rejected,
-    since no elapsed time compares against NaN."""
+    or infinity when it runs unbudgeted, so the kernel never reads the clock.
+    A negative or NaN budget is rejected, since no elapsed time compares
+    against NaN."""
     if time_budget is None:
-        return None
+        return math.inf
     if not time_budget >= 0:
         raise ValueError("time_budget must be nonnegative")
     return t_start + time_budget
@@ -322,8 +324,7 @@ def max_delta_clique_exact(
             sv,
             tg.labels[order],
             delta,
-            deadline is not None,
-            deadline or 0.0,
+            deadline,
         )
         if witness:
             best = tuple(ids[witness].tolist())
@@ -376,8 +377,7 @@ def max_delta_clique_heuristic(
             _GREEDY_POOL,
             _IMPROVE_ROUNDS,
             _PLATEAU_MOVES,
-            deadline is not None,
-            deadline or 0.0,
+            deadline,
         )
     # with no edges a single vertex is the optimum
     witness = delta_clique_check(tg, sorted(best or [0]), delta)

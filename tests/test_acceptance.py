@@ -15,19 +15,21 @@ Covered:
   3. exact solver vs brute force on 500 seeded instances x 4 deltas
   4. omega(n) stays inside [floor(0.5 k0), ceil(1.25 k0)] with
      nondecreasing medians at delta = 0.3
-  5. optimum interval width / delta: all ratios <= 1, median >= 0.9
-     (band frozen after a 3-seed calibration; details in README)
+  5. optimum interval width / delta on criterion 4's n = 200 trials: all
+     ratios <= 1, median >= 0.9 (band frozen after a 3-seed calibration;
+     details in README)
   6. planted-instance reduction recovers base-graph cliques inside the
      low window, every one at least as large as the base graph's clique
      number, and beats a greedy static clique in >= 18/20 trials
   7. analytic invariants: density quadrature, compositional identity,
      big-rational oracle to 10 significant digits, monotonicity grids
-  8. byte-identical CSV records for the criterion 1-6 runs when each is
-     repeated in a fresh interpreter with a different PYTHONHASHSEED, so a
-     record depending on process state or hash order fails the check
+  8. byte-identical CSV records for the criterion 1-6 runs, and JSON
+     aggregate for the threshold run, when each is repeated in a fresh
+     interpreter with a different PYTHONHASHSEED, so a record depending on
+     process state or hash order fails the check
 
-Run as a script, this file prints the CSV digests of the criterion 1-6 runs
-as JSON; criterion 8 does that in a subprocess.
+Run as a script, this file prints the digests of the criterion 1-6 runs as
+JSON; criterion 8 does that in a subprocess.
 """
 
 import hashlib
@@ -57,7 +59,6 @@ from tempclique.experiments import (
     ExperimentReport,
     estimate_clique_count,
     estimate_window_probability,
-    interval_width_experiment,
     reduction_experiment,
     run_indexed,
     threshold_sweep,
@@ -163,16 +164,6 @@ def _threshold_report() -> ExperimentReport:
     return _CACHE[key]
 
 
-def _width_report() -> ExperimentReport:
-    key = "width"
-    if key not in _CACHE:
-        _CACHE[key] = interval_width_experiment(
-            200, 0.3, trials=20, mode="exact",
-            seed=MASTER_SEED,
-        )
-    return _CACHE[key]
-
-
 def _reduction_report() -> ExperimentReport:
     key = "reduction"
     if key not in _CACHE:
@@ -253,15 +244,15 @@ def test_criterion_4_threshold_band():
     assert monotone, f"median omega not nondecreasing: {medians}"
 
 
-def test_criterion_5_interval_width():
-    rpt = _width_report()
-    ratios = [t["value"] for t in rpt.trials]
-    median = rpt.extras["median_ratio"]
+def test_criterion_5_optimum_width():
+    rpt = _threshold_report()
+    ratios = rpt.extras["width_ratio"]["200"]
+    median = rpt.extras["median_width_ratio"]["200"]
     hard_ok = all(r <= 1.0 + 1e-12 for r in ratios)
     band_ok = median >= WIDTH_MEDIAN_BAND
     ok = hard_ok and band_ok
     _verdict(5, "interval width", ok,
-             f"median ratio {median:.4f} (band >= {WIDTH_MEDIAN_BAND}), "
+             f"n = 200: median ratio {median:.4f} (band >= {WIDTH_MEDIAN_BAND}), "
              f"max {max(ratios):.4f}")
     assert hard_ok, f"width ratio above 1: {max(ratios)}"
     assert band_ok, f"median width ratio {median} below {WIDTH_MEDIAN_BAND}"
@@ -344,16 +335,18 @@ def test_criterion_7_analytic_invariants():
 
 
 def _all_digests() -> dict:
-    """{run: sha256 of its CSV records} for every criterion 1-6 run."""
+    """{run: sha256 of its CSV records} for every criterion 1-6 run, plus
+    the sha256 of the threshold run's JSON aggregate, whose extras hold the
+    per-trial widths of criterion 5."""
     out = {f"window_prob {key}": dg for key, dg in _window_prob_digests().items()}
     out.update({f"clique_count {key}": dg for key, dg in _clique_count_digests().items()})
     for name, runner in (
         ("oracle", _oracle_report),
         ("threshold", _threshold_report),
-        ("width", _width_report),
         ("reduction", _reduction_report),
     ):
         out[name] = _digest(runner().csv_text())
+    out["threshold json"] = _digest(_threshold_report().json_text())
     return out
 
 
@@ -382,7 +375,7 @@ def test_criterion_8_repeat_determinism():
     )
     ok = not mismatches
     _verdict(8, "repeat determinism", ok,
-             f"CSV digests of {len(in_process)} runs compared with a fresh "
+             f"digests of {len(in_process)} outputs compared with a fresh "
              f"interpreter under another PYTHONHASHSEED, {len(mismatches)} differ")
     assert ok, f"records differ in a fresh interpreter: {mismatches}"
 

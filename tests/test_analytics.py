@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from tempclique import analytics
 from tempclique.analytics import (
+    comb_below,
     expected_clique_count,
     k0_threshold,
     log_choose,
@@ -222,6 +224,19 @@ def test_log_expected_count_trend_across_threshold():
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def test_expected_count_never_computes_a_huge_binomial(monkeypatch):
+    """Whether C(n, k) is below 2^53 is decided without computing it: at
+    n = 10^6, k = 5 * 10^5 that took seconds, to print 0.0."""
+
+    def small_comb_only(n, k):
+        assert min(k, n - k) <= 64, f"comb({n}, {k}) computed"
+        return comb(n, k)
+
+    monkeypatch.setattr(analytics, "comb", small_comb_only)
+    assert expected_clique_count(10**6, 5 * 10**5, 0.5) == 0.0
+    assert expected_clique_count(2**52, 1, 0.5) == float(2**52)
+
+
 def test_expected_count_validation():
     with pytest.raises(ValueError):
         expected_clique_count(4, 5, 0.5)
@@ -310,6 +325,14 @@ def test_log_choose_matches_exact():
         for k in (0, 1, n // 2, n):
             assert log_choose(n, k) == pytest.approx(log(comb(n, k)), rel=1e-12, abs=1e-12)
     assert log_choose(5, 9) == float("-inf")
+
+
+def test_comb_below_matches_exact():
+    for n in range(60):
+        for k in range(n + 1):
+            for limit in (0, 1, 2, 35, comb(n, k), comb(n, k) + 1, 10**6 + 1, 2**53):
+                expected = comb(n, k) if comb(n, k) < limit else None
+                assert comb_below(n, k, limit) == expected, (n, k, limit)
 
 
 @given(

@@ -360,7 +360,7 @@ def test_experiment_infeasible_exit_code(tmp_path, capsys):
         ("clique-count", ["--n", "6", "--k", "3", "--delta", "0.4", "--mode", "exact"], "--mode"),
         ("clique-count", ["--n", "6", "--k", "3", "--delta", "0.4", "--h", "2"], "--h"),
         ("threshold", ["--ns", "20", "--n", "30", "--delta", "0.3"], "--n"),
-        ("interval-width", ["--n", "20", "--ns", "30", "--delta", "0.3"], "--ns"),
+        ("threshold", ["--ns", "20", "--h", "2", "--delta", "0.3"], "--h"),
         ("reduction", ["--n", "20", "--k", "3", "--delta", "0.3"], "--k"),
         ("conjecture2", ["--n", "20", "--ns", "20,30", "--delta", "0.3"], "--ns"),
     ],
@@ -399,7 +399,7 @@ def test_experiment_requires_flags(tmp_path, capsys):
     assert "requires" in err
 
 
-@pytest.mark.parametrize("name", ["threshold", "interval-width", "reduction", "conjecture2"])
+@pytest.mark.parametrize("name", ["threshold", "reduction", "conjecture2"])
 def test_experiment_rejects_n_below_two_by_name(tmp_path, capsys, name):
     size = "--ns" if name == "threshold" else "--n"
     code, out, err = run_cli(

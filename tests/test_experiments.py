@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tempclique import analytics, experiments
 from tempclique.analytics import window_probability
 from tempclique.cli import main
 from tempclique.experiments import (
@@ -19,7 +20,6 @@ from tempclique.experiments import (
     conjecture2_probe,
     estimate_clique_count,
     estimate_window_probability,
-    interval_width_experiment,
     reduction_experiment,
     run_indexed,
     threshold_sweep,
@@ -137,6 +137,20 @@ def test_clique_count_guard():
         estimate_clique_count(50, 25, 0.5, 10, seed=0)
 
 
+def test_clique_count_guard_never_computes_a_huge_binomial(monkeypatch):
+    """The subset guard refuses C(10^8, 5 * 10^7) without computing it."""
+
+    def small_comb_only(n, k):
+        assert min(k, n - k) <= 64, f"comb({n}, {k}) computed"
+        return comb(n, k)
+
+    # both modules: the guard may compute through neither
+    monkeypatch.setattr(analytics, "comb", small_comb_only)
+    monkeypatch.setattr(experiments, "comb", small_comb_only, raising=False)
+    with pytest.raises(InfeasibleConfigError, match="subset guard"):
+        estimate_clique_count(10**8, 5 * 10**7, 0.5, 1, seed=1)
+
+
 # ---------------------------------------------------------------- thresholds
 
 
@@ -182,22 +196,23 @@ def test_threshold_sweep_guards():
     assert len(rep.trials) == 1
 
 
-# ------------------------------------------------------------- interval width
+# ------------------------------------------------------------- optimum width
 
 
-def test_interval_width_ratios_are_at_most_one():
-    rep = interval_width_experiment(40, 0.3, 5, "exact", seed=12)
-    for t in rep.trials:
-        assert 0.0 <= t["value"] <= 1.0
-        assert t["width"] == pytest.approx(t["value"] * 0.3, rel=1e-12, abs=1e-15)
-    assert 0.0 <= rep.extras["median_ratio"] <= 1.0
+def test_threshold_width_ratios_are_at_most_one():
+    rep = threshold_sweep([40], 0.3, 5, "exact", seed=12)
+    ratios = rep.extras["width_ratio"]["40"]
+    assert len(ratios) == 5
+    for r in ratios:
+        assert 0.0 <= r <= 1.0
+    assert rep.extras["median_width_ratio"]["40"] == float(np.median(ratios))
 
 
-def test_interval_width_ratio_grows_with_n():
+def test_threshold_median_width_ratio_grows_with_n():
     """Median width ratio at n=200 shouldn't fall below the n=50 one by > 0.05."""
-    small = interval_width_experiment(50, 0.3, 20, "exact", seed=14)
-    large = interval_width_experiment(200, 0.3, 20, "exact", seed=14)
-    assert large.extras["median_ratio"] >= small.extras["median_ratio"] - 0.05
+    rep = threshold_sweep([50, 200], 0.3, 20, "exact", seed=14)
+    medians = rep.extras["median_width_ratio"]
+    assert medians["200"] >= medians["50"] - 0.05
 
 
 # ------------------------------------------------------------------- planted
@@ -215,7 +230,6 @@ def test_planted_instance_mode_half_ranges():
         else:
             assert 0.5 <= t < 1.0
     assert inst.planted_range == (0.0, 0.25)
-    assert inst.filler_range == (0.5, 1.0)
 
 
 def test_planted_instance_mode_full_ranges():
@@ -322,10 +336,6 @@ PINNED_CSV = {
         "--name threshold --ns 60 --delta 0.5 --trials 2 --mode heuristic --seed 4",
         "9c8af1a5f971a717ee9a4ff99365441542d248323ff4e9e68d805a906525fd1f",
     ),
-    "interval-width": (
-        "--name interval-width --n 30 --delta 0.4 --trials 4 --seed 6",
-        "8faec168b19ae776810702a8736c278991a5d7d8b9e15d487237e515a9fbafb7",
-    ),
     "reduction": (
         "--name reduction --n 30 --delta 0.5 --trials 4 --seed 7",
         "b93677fd8ff08764dda5eb5ae7526b445edfe00c82a724f6bce82da3f27aedd3",
@@ -345,3 +355,17 @@ def test_experiment_csv_is_pinned(tmp_path, capsys, name):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert next(tmp_path.glob("*.csv")).read_text() == out
+
+
+# JSON sha256 of the small exact threshold run above.  Its extras carry each
+# trial's optimum width as a share of delta, which no CSV column holds.
+PINNED_THRESHOLD_JSON = "73e4720723c3fd72bf68d61444b51b1447dc8308c7802b6d6b6096c1011af034"
+
+
+def test_threshold_json_is_pinned(tmp_path, capsys):
+    args, _ = PINNED_CSV["threshold"]
+    code = main(["experiment", *args.split(), "--outdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_THRESHOLD_JSON
+    assert next(tmp_path.glob("*.json")).read_text() == out

@@ -144,8 +144,9 @@ static int expand(Search *S, int64_t d, size_t off, int64_t rsize, int64_t lo, i
     return 0;
 }
 
-/* Search the cliques through the edge (p, q) that beat the incumbent; the
- * candidates are the common neighbours of p and q. */
+/* Search the cliques through the edge (p, q) that beat the incumbent (of
+ * size >= 2), among the common neighbours of p and q; with too few of them
+ * for a larger clique, count the anchor as skipped and return. */
 static int search_anchor(Search *S, int64_t p, int64_t q) {
     if (reserve((void **)&S->pool, &S->pool_words, 3 * (size_t)S->W, sizeof(uint64_t))) return -1;
     const uint64_t *ap = S->adj + p * S->W, *aq = S->adj + q * S->W;
@@ -157,9 +158,13 @@ static int search_anchor(Search *S, int64_t p, int64_t q) {
             k += __builtin_popcountll(S->pool[x]);
         }
     }
+    if (k + 2 <= S->best) {
+        S->stats[ST_SKIP_CANDIDATES]++;
+        return 0;
+    }
     S->rstack[0] = p;
     S->rstack[1] = q;
-    return hi > lo ? expand(S, 0, 0, 2, lo, hi, k) : 0;
+    return expand(S, 0, 0, 2, lo, hi, k);
 }
 
 static void set_edge(Search *S, int64_t p, int64_t q) {
@@ -179,15 +184,10 @@ static void build_window(Search *S, int64_t n, const int64_t *su, const int64_t 
     for (int64_t e = lo; e < hi; e++) set_edge(S, pos[su[e]], pos[sv[e]]);
 }
 
-/* Renumber bit positions by descending window degree, ties by vertex id. */
-static int relabel(Search *S, int64_t n, int64_t *pos, int64_t *inv) {
-    int64_t *deg = malloc((size_t)n * sizeof(int64_t));
-    int64_t *start = calloc((size_t)n + 1, sizeof(int64_t));
-    if (!deg || !start) {
-        free(deg);
-        free(start);
-        return -1;
-    }
+/* Renumber bit positions by descending window degree, ties by vertex id.
+ * deg and start are scratch of n entries each. */
+static void relabel(Search *S, int64_t n, int64_t *pos, int64_t *inv, int64_t *deg, int64_t *start) {
+    memset(start, 0, (size_t)n * sizeof(int64_t));
     for (int64_t v = 0; v < n; v++) {
         deg[v] = popcount(S->adj + pos[v] * S->W, S->W);
         start[n - 1 - deg[v]]++; /* degrees lie in 0..n-1; bucket 0 is the densest */
@@ -199,9 +199,6 @@ static int relabel(Search *S, int64_t n, int64_t *pos, int64_t *inv) {
     }
     for (int64_t v = 0; v < n; v++) inv[start[n - 1 - deg[v]]++] = v;
     for (int64_t p = 0; p < n; p++) pos[inv[p]] = p;
-    free(deg);
-    free(start);
-    return 0;
 }
 
 static int search_init(Search *S, int64_t n, double deadline, int64_t *stats) {
@@ -234,12 +231,13 @@ static int64_t window_end(const double *slab, int64_t m, int64_t hi, double t, d
 /* The anchored-window sweep over edges sorted by label (su, sv, slab).
  *
  * The window anchored at edge a holds the edges e >= a with
- * slab[e] - slab[a] <= delta; only cliques through edge a are searched
- * there.  The search runs on bit positions renumbered by descending window
- * degree whenever the nodes since the last renumbering reach the window's
- * edge count.  After a full sweep, the anchor where the incumbent last grew
- * is searched again with bit positions equal to vertex ids, from the size
- * the incumbent had before it, so the witness is that of an id-order sweep.
+ * slab[e] - slab[a] <= delta; when it holds enough edges for a larger
+ * clique, search_anchor searches the cliques through edge a there, on bit
+ * positions renumbered by descending window degree whenever the nodes since
+ * the last renumbering reach the window's edge count.  After a full sweep,
+ * the anchor where the incumbent last grew is searched again with bit
+ * positions equal to vertex ids, from the size the incumbent had before it,
+ * so the witness is that of an id-order sweep.
  *
  * The incumbent starts as the first edge, so a deadline that passes before
  * the first anchor still leaves a 2-clique; m must be positive.
@@ -252,15 +250,16 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
     Search S;
     int64_t *pos = malloc((size_t)n * sizeof(int64_t));
     int64_t *inv = malloc((size_t)n * sizeof(int64_t));
+    int64_t *deg = malloc((size_t)n * sizeof(int64_t));
+    int64_t *start = malloc((size_t)n * sizeof(int64_t));
     int64_t size = -1;
     memset(stats, 0, ST_COUNT * sizeof(int64_t));
-    if (search_init(&S, n, deadline, stats) || !pos || !inv) goto done;
+    if (search_init(&S, n, deadline, stats) || !pos || !inv || !deg || !start) goto done;
     for (int64_t v = 0; v < n; v++) pos[v] = inv[v] = v;
     S.best = size = 2;
     witness[0] = su[0];
     witness[1] = sv[0];
-    int64_t hi = 0, relabeled_at = 0;
-    int64_t grown = -1, grown_hi = 0, grown_before = 0;
+    int64_t hi = 0, relabeled_at = 0, grown = -1, grown_before = 0;
     for (int64_t a = 0; a < m; a++) {
         for (const int64_t end = window_end(slab, m, hi, slab[a], delta); hi < end; hi++)
             set_edge(&S, pos[su[hi]], pos[sv[hi]]);
@@ -276,26 +275,17 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
             continue;
         }
         if (stats[ST_NODES] - relabeled_at >= hi - a) {
-            if (relabel(&S, n, pos, inv)) goto fail;
+            relabel(&S, n, pos, inv, deg, start);
             build_window(&S, n, su, sv, a, hi, pos);
             relabeled_at = stats[ST_NODES];
             stats[ST_RELABELS]++;
         }
-        const int64_t p = pos[su[a]], q = pos[sv[a]];
-        const uint64_t *ap = S.adj + p * S.W, *aq = S.adj + q * S.W;
-        int64_t common = 0;
-        for (int64_t x = 0; x < S.W; x++) common += __builtin_popcountll(ap[x] & aq[x]);
-        if (common + 2 <= S.best) {
-            stats[ST_SKIP_CANDIDATES]++;
-            continue;
-        }
         const int64_t before = S.best;
-        if (search_anchor(&S, p, q)) goto fail;
+        if (search_anchor(&S, pos[su[a]], pos[sv[a]])) goto fail;
         if (S.best > before) {
             for (int64_t i = 0; i < S.best; i++) witness[i] = inv[S.best_set[i]];
             size = S.best;
             grown = a;
-            grown_hi = hi;
             grown_before = before;
         }
         if (S.timed_out) {
@@ -305,7 +295,7 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
     }
     if (grown >= 0 && !stats[ST_BUDGET_HIT]) {
         for (int64_t v = 0; v < n; v++) pos[v] = v;
-        build_window(&S, n, su, sv, grown, grown_hi, pos);
+        build_window(&S, n, su, sv, grown, window_end(slab, m, grown, slab[grown], delta), pos);
         S.best = grown_before;
         if (search_anchor(&S, su[grown], sv[grown])) goto fail;
         if (!S.timed_out) {
@@ -320,6 +310,8 @@ done:
     search_free(&S);
     free(pos);
     free(inv);
+    free(deg);
+    free(start);
     return size;
 }
 

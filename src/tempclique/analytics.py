@@ -72,10 +72,17 @@ def log_window_probability(h: int, delta: float) -> float:
 
 
 def log_choose(n: int, k: int) -> float:
-    """ln C(n, k) via lgamma."""
+    """ln C(n, k) in O(1).  Past n = 256, lgamma(n + 1) is too large to keep
+    the digits of a small k, so ln(n! / (n - j)!), j = min(k, n - k), comes
+    from Stirling's series with its leading terms cancelled by hand."""
     if k < 0 or k > n:
         return -inf
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
+    if n <= 256:
+        return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
+    j = min(k, n - k)
+    a, b = 1 / n, 1 / (n - j)
+    tails = (a - b) / 12 - (a**3 - b**3) / 360
+    return j * log(n) - (n - j + 0.5) * log1p(-j / n) - j + tails - lgamma(j + 1)
 
 
 def comb_below(n: int, k: int, limit: int) -> int | None:

@@ -769,6 +769,59 @@ def test_exact_witness_matches_id_order_sweep_across_word_boundaries(n):
             assert res.clique.vertices == id_order_sweep(tg, d), (n, d, tg.m)
 
 
+# (case, witness, counters in STAT_NAMES order) of the exact kernel; the
+# corpus is built by `pinned_exact_case`.  A change that means to alter the
+# search re-records them and says which moved
+PINNED_EXACT_SEARCH = [
+    ("complete-120-0.7", (5, 6, 14, 19, 26, 28, 30, 39, 40, 44, 50, 68, 80, 101, 109, 111, 119),
+     (7140, 152, 2443, 73881, 73881, 16, 0)),
+    ("complete-200-0.5", (25, 64, 67, 78, 87, 96, 121, 123, 149, 151, 176, 181),
+     (19900, 77, 4557, 97057, 97057, 11, 0)),
+    ("complete-60-0.3", (1, 4, 33, 44, 51, 59), (1770, 20, 903, 870, 870, 2, 0)),
+    ("complete-300-0.3", (35, 57, 86, 95, 110, 143, 152, 192, 291),
+     (44850, 44, 7181, 49968, 49968, 5, 0)),
+    ("er-80-0", (3, 10, 13, 37, 64, 66, 71, 72, 75), (1567, 44, 977, 617, 617, 2, 0)),
+    ("equal-labels", (0, 1, 8, 11, 15, 24, 41, 48, 52, 63), (1436, 54, 796, 738, 738, 2, 0)),
+    ("rounded-labels", (14, 19, 20, 28, 33, 34, 44, 75, 89), (4005, 44, 1185, 2844, 2844, 3, 0)),
+    ("isolated-65", (8, 17, 25, 35, 37, 55, 69), (1276, 27, 662, 607, 607, 1, 0)),
+    ("isolated-129", (7, 58, 69, 80, 82, 95, 150, 162), (5012, 35, 1862, 3461, 3461, 2, 0)),
+    ("budget-0", (12, 20), (0, 0, 0, 0, 0, 0, 1)),
+]
+
+
+def pinned_exact_case(name):
+    """(graph, delta, time_budget) of a PINNED_EXACT_SEARCH case."""
+    kind, _, rest = name.partition("-")
+    if kind == "complete":
+        n, d = rest.split("-")
+        return generate_random_complete(int(n), 2300 + int(n)), float(d), None
+    if kind == "er":
+        return generate_er(80, 0.5, 2380), 0.0, None
+    if kind == "equal":
+        g = generate_er(70, 0.6, 2370)
+        return TemporalGraph(g.n, g.u, g.v, np.full(g.m, 0.25)), 0.0, None
+    if kind == "rounded":
+        g = generate_random_complete(90, 2390)
+        return TemporalGraph(g.n, g.u, g.v, np.round(g.labels, 2)), 0.4, None
+    if kind == "isolated":
+        s = derive_seed(2323, int(rest))
+        return with_isolated_vertices(sparse_instance(int(rest), 0.6, s), 40, s), 0.6, None
+    return generate_random_complete(30, 2330), 0.5, 0.0
+
+
+@pytest.mark.parametrize("name, witness, counters", PINNED_EXACT_SEARCH)
+def test_exact_search_is_pinned(name, witness, counters):
+    """The exact kernel's witness and every search counter, on complete
+    graphs at the solve-dense and threshold settings, G(80, 1/2) at
+    delta = 0, tied and rounded labels, isolated vertices across word
+    boundaries and a spent budget: a change to the search order, a bound or
+    the renumbering schedule moves some counter here."""
+    tg, d, budget = pinned_exact_case(name)
+    res = max_delta_clique_exact(tg, d, budget)
+    assert res.clique.vertices == witness
+    assert tuple(res.stats.values()) == counters
+
+
 def test_window_predicate_boundary_triangle():
     """lo + delta rounds up, so the triangle's width exceeds delta as the
     checker computes it: every solver must return an edge, none may raise."""

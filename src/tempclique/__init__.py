@@ -51,6 +51,7 @@ from .solver import (
     BRUTEFORCE_MAX_N,
     InfeasibleConfigError,
     SolveResult,
+    count_delta_cliques,
     greedy_static_clique,
     max_delta_clique_bruteforce,
     max_delta_clique_exact,

@@ -35,6 +35,7 @@ typedef struct {
     int64_t W;
     uint64_t *adj;
     int64_t best;      /* incumbent size */
+    int64_t count_k, count; /* count_k >= 3: count the count_k-cliques */
     int64_t *best_set; /* its bit positions, when this search found it */
     int64_t *rstack;   /* bit positions of the clique being extended */
     uint64_t *pool;    /* bitsets: depth d uses words [d W, (d + 1) W) */
@@ -84,6 +85,11 @@ static int expand(Search *S, int64_t d, size_t off, int64_t rsize, int64_t lo, i
     if (S->has_deadline) {
         if (!(stats[ST_NODES] & 1023) && now() > S->deadline) S->timed_out = 1;
         if (S->timed_out) return 0;
+    }
+    /* counting: each candidate completes one count_k-clique */
+    if (rsize + 1 == S->count_k) {
+        S->count += popcount(S->pool + d * W + lo, hi - lo);
+        return 0;
     }
     stats[ST_COLORINGS]++;
     /* depths d + 1 and d + 2 hold the coloring's scratch sets until the
@@ -242,11 +248,14 @@ static int64_t window_end(const double *slab, int64_t m, int64_t hi, double t, d
  * The incumbent starts as the first edge, so a deadline that passes before
  * the first anchor still leaves a 2-clique; m must be positive.
  *
- * Writes the witness (vertex numbers) to `witness`, which holds n entries,
- * and returns its size.  stats receives ST_COUNT counters.  Returns -1 when
- * memory runs out. */
+ * With k = 0, writes the witness (vertex numbers) to `witness`, which holds
+ * n entries, and returns its size.  stats receives ST_COUNT counters.
+ * Returns -1 when memory runs out.  With k >= 3, returns instead the number
+ * of delta-cliques of exactly k vertices, each counted at its first edge in
+ * label order: the incumbent is held at k - 1, so the bounds prune exactly
+ * what cannot hold a k-clique, and it never grows, so nothing is re-searched. */
 int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, const double *slab,
-                 double delta, double deadline, int64_t *witness, int64_t *stats) {
+                 double delta, int64_t k, double deadline, int64_t *witness, int64_t *stats) {
     Search S;
     int64_t *pos = malloc((size_t)n * sizeof(int64_t));
     int64_t *inv = malloc((size_t)n * sizeof(int64_t));
@@ -259,6 +268,8 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
     S.best = size = 2;
     witness[0] = su[0];
     witness[1] = sv[0];
+    S.count_k = k >= 3 ? k : 0;
+    if (S.count_k) S.best = k - 1;
     int64_t hi = 0, relabeled_at = 0, grown = -1, grown_before = 0;
     for (int64_t a = 0; a < m; a++) {
         for (const int64_t end = window_end(slab, m, hi, slab[a], delta); hi < end; hi++)
@@ -303,6 +314,7 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
             size = S.best;
         }
     }
+    if (S.count_k) size = S.count;
     goto done;
 fail:
     size = -1;

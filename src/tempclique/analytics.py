@@ -142,16 +142,15 @@ def k0_threshold(n: int, delta: float) -> float:
     return 2.0 * log(n) / -log(delta)
 
 
-def _exp_clipped(x: float) -> float:
-    return inf if x > 709.0 else exp(x)
-
-
 def second_moment_overlap_bound(n: int, k: int, delta: float) -> float:
     """Upper bound on Var/E^2 for the count of delta-temporal k-cliques.
 
     sum_{t=1}^{k-1} C(k,t) C(n-k,k-t) / (C(n,k) delta^C(t,2) (1-delta)).
     When this sum is o(1), cliques of size k exist with high probability.
-    Requires 2 <= k and 2k <= n (two disjoint k-sets must fit).
+    Requires 2 <= k and 2k <= n (two disjoint k-sets must fit).  A t = k - 1
+    term past double range makes the sum inf at once; the O(k) loop runs
+    only when it stays finite, which at large k needs 1 - delta below about
+    2 ln(n/k) / k (1e-5 at n = 10^9, k = 10^6).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -162,14 +161,14 @@ def second_moment_overlap_bound(n: int, k: int, delta: float) -> float:
     lcnk = log_choose(n, k)
     ld = log(delta)
     l1md = log1p(-delta)
+
+    def log_term(t: int) -> float:
+        return log_choose(k, t) + log_choose(n - k, k - t) - lcnk - comb(t, 2) * ld - l1md
+
+    if log_term(k - 1) > 709.0:
+        return inf
     total = 0.0
     for t in range(1, k):
-        lt = (
-            log_choose(k, t)
-            + log_choose(n - k, k - t)
-            - lcnk
-            - comb(t, 2) * ld
-            - l1md
-        )
-        total += _exp_clipped(lt)
+        lt = log_term(t)
+        total += inf if lt > 709.0 else exp(lt)
     return total

@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 on usage or input errors (bad flags, malformed
 files, out-of-range parameters, flags the chosen experiment or quantity does
 not read), 2 on infeasible configurations (guards like bruteforce beyond
-n = 20 or exact sweeps beyond n = 1000, or no gcc to build the exact and
-heuristic solvers' kernel).
+n = 20, exact sweeps or clique counts beyond n = 1000, or no gcc to build the
+exact and heuristic solvers' kernel, or too little memory).
 """
 
 from __future__ import annotations
@@ -252,8 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InfeasibleConfigError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+    except (InfeasibleConfigError, MemoryError) as exc:
+        print(f"infeasible: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (GraphFormatError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -22,13 +22,12 @@ import io as _io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import ceil, floor
 from pathlib import Path
 
 import numpy as np
 
-from .analytics import comb_below, k0_threshold, window_probability
+from .analytics import expected_clique_count, k0_threshold, window_probability
 from .graphs import (
     TemporalGraph,
     _pair_index,
@@ -40,14 +39,13 @@ from .io import atomic_write_text
 from .seeds import derive_seed, uniform_block
 from .solver import (
     InfeasibleConfigError,
+    count_delta_cliques,
     greedy_static_clique,
     max_delta_clique_exact,
     solve_max_delta_clique,
 )
 
 EXACT_SWEEP_MAX_N = 1000
-CLIQUE_COUNT_MAX_SUBSETS = 10**6
-_SUBSET_CHUNK = 100_000
 
 
 def run_indexed(count: int, fn) -> list:
@@ -159,55 +157,34 @@ def estimate_window_probability(h: int, delta: float, trials: int, seed: int) ->
     return ExperimentReport.from_trials("window_prob", params, records, extras)
 
 
-def _subset_edge_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All k-subsets of range(n) and the canonical edge index of each internal pair."""
-    subsets = np.array(list(combinations(range(n), k)), dtype=np.int64)
-    if k < 2:
-        return subsets, np.empty((subsets.shape[0], 0), dtype=np.int64)
-    ii, jj = zip(*combinations(range(k), 2))
-    a = subsets[:, list(ii)]
-    b = subsets[:, list(jj)]
-    return subsets, _pair_index(n, a, b)
-
-
 def estimate_clique_count(
     n: int, k: int, delta: float, trials: int, seed: int
 ) -> ExperimentReport:
     """Monte Carlo mean of the number of delta-temporal k-cliques in K_n.
 
-    Each trial generates a fresh labeled instance and counts, over all C(n ,k)
-    vertex subsets, those whose internal labels span at most delta.  Guarded
-    to C(n, k) <= 10^6 subsets.
+    Each trial generates a fresh labeled instance and counts its k-cliques
+    with `count_delta_cliques`.  Guarded to n <= EXACT_SWEEP_MAX_N, checked
+    first, and to an expected count E[X_k] <= 10^6, which the extras carry;
+    `expected_clique_count` rejects k outside 1..n and delta outside [0, 1].
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not 1 <= k <= n:
-        raise ValueError("require 1 <= k <= n")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    n_subsets = comb_below(n, k, CLIQUE_COUNT_MAX_SUBSETS + 1)
-    if n_subsets is None:
+    if n > EXACT_SWEEP_MAX_N:
+        raise InfeasibleConfigError(f"clique counts are guarded to n <= {EXACT_SWEEP_MAX_N}")
+    expected = expected_clique_count(n, k, delta)
+    if expected > 10**6:
         raise InfeasibleConfigError(
-            f"C({n}, {k}) exceeds the {CLIQUE_COUNT_MAX_SUBSETS} subset guard"
+            f"the expected count E[X_{k}] = {expected:.4g} exceeds the 10^6 count guard"
         )
-    _, edge_idx = _subset_edge_indices(n, k)
 
     def one_trial(i: int) -> dict:
         s = derive_seed(seed, i)
-        tg = generate_random_complete(n, s)
-        if edge_idx.shape[1] == 0:
-            count = n_subsets
-        else:
-            count = 0
-            for lo in range(0, n_subsets, _SUBSET_CHUNK):
-                sub = tg.labels[edge_idx[lo : lo + _SUBSET_CHUNK]]
-                count += int((sub.max(axis=1) - sub.min(axis=1) <= delta).sum())
+        count = count_delta_cliques(generate_random_complete(n, s), k, delta)
         return {"trial": i, "seed": s, "value": count}
 
     records = run_indexed(trials, one_trial)
     params = {"n": n, "k": k, "delta": delta, "trials": trials, "seed": seed}
-    extras = {"subsets": n_subsets}
-    return ExperimentReport.from_trials("clique_count", params, records, extras)
+    return ExperimentReport.from_trials("clique_count", params, records, {"expected": expected})
 
 
 def _solver_trials(

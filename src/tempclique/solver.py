@@ -13,6 +13,8 @@ window.
   bitsets use bit positions renumbered from time to time by descending
   window degree, which tightens the coloring bounds; the witness is then
   re-derived in vertex-id order, so it equals that of an id-order search.
+  With its incumbent held at k - 1, the same sweep counts the k-cliques
+  (`count_delta_cliques`).
   The sweep and the B&B run in the C kernel `_sweep.c`, which also serves
   the heuristic; it is built with gcc on the first exact or heuristic solve
   into `__pycache__/` next to this file and loaded with ctypes.  Without gcc,
@@ -112,7 +114,7 @@ _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
 _SIGNATURES = {
     "tc_sweep": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_double,
-                 ctypes.c_double, _i64, _i64],
+                 ctypes.c_int64, ctypes.c_double, _i64, _i64],
     "tc_heuristic": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, _f64, ctypes.c_double,
                      ctypes.c_int64, _i64, ctypes.c_int64, _u64, ctypes.c_int64, ctypes.c_int64,
                      ctypes.c_int64, ctypes.c_double, _i64, _i64],
@@ -160,9 +162,9 @@ def _load_kernel() -> ctypes.CDLL:
     return kernel
 
 
-def _run_kernel(name: str, n: int, m: int, *args) -> tuple[list[int], dict]:
-    """Call kernel function `name` on n vertices and m edges; return the
-    witness it wrote (empty when it wrote none) and its counters."""
+def _run_kernel(name: str, n: int, m: int, *args) -> tuple[int, np.ndarray, dict]:
+    """Call kernel function `name` on n vertices and m edges; return its result
+    (a witness size, or tc_sweep's count), its n-entry witness buffer and its counters."""
     if n * ((n + 63) // 64) * 8 > _KERNEL_MAX_BYTES:
         raise InfeasibleConfigError(
             f"the solver's bitsets for {n} vertices exceed {_KERNEL_MAX_BYTES >> 20} MiB"
@@ -172,7 +174,7 @@ def _run_kernel(name: str, n: int, m: int, *args) -> tuple[list[int], dict]:
     size = getattr(_load_kernel(), name)(n, m, *args, witness, counters)
     if size < 0:
         raise MemoryError(f"{name} ran out of memory")
-    return witness[:size].tolist(), dict(zip(STAT_NAMES, counters.tolist()))
+    return size, witness, dict(zip(STAT_NAMES, counters.tolist()))
 
 
 def _neighbor_masks(tg: TemporalGraph) -> list[int]:
@@ -280,6 +282,17 @@ def _deadline(t_start: float, time_budget: float | None) -> float:
     return t_start + time_budget
 
 
+def _sweep(tg: TemporalGraph, delta: float, k: int, deadline: float) -> tuple:
+    """Run tc_sweep on tg's edges (m > 0) in stable label order, the vertices that carry one
+    renumbered 0..ids.size-1 in id order so nothing is sized by tg.n: (ids, *its result)."""
+    ids = np.unique(np.concatenate((tg.u, tg.v)))
+    order = np.argsort(tg.labels, kind="stable")
+    # renumber before reordering: sorted needles bisect several times faster
+    su = np.searchsorted(ids, tg.u)[order]
+    sv = np.searchsorted(ids, tg.v)[order]
+    return ids, *_run_kernel("tc_sweep", ids.size, tg.m, su, sv, tg.labels[order], delta, k, deadline)
+
+
 def max_delta_clique_exact(
     tg: TemporalGraph, delta: float, time_budget: float | None = None
 ) -> SolveResult:
@@ -309,29 +322,26 @@ def max_delta_clique_exact(
     best: tuple[int, ...] = (0,)
     stats = dict.fromkeys(STAT_NAMES, 0)
     if tg.m > 0:
-        # search the vertices that carry an edge, renumbered 0..n-1 in id
-        # order so nothing is sized by tg.n; witnesses map back through ids
-        ids = np.unique(np.concatenate((tg.u, tg.v)))
-        order = np.argsort(tg.labels, kind="stable")
-        # renumber before reordering: sorted needles bisect several times faster
-        su = np.searchsorted(ids, tg.u)[order]
-        sv = np.searchsorted(ids, tg.v)[order]
-        witness, stats = _run_kernel(
-            "tc_sweep",
-            ids.size,
-            tg.m,
-            su,
-            sv,
-            tg.labels[order],
-            delta,
-            deadline,
-        )
-        if witness:
-            best = tuple(ids[witness].tolist())
+        ids, size, witness, stats = _sweep(tg, delta, 0, deadline)
+        best = tuple(ids[witness[:size]].tolist())
     witness = delta_clique_check(tg, best, delta)
     return SolveResult(
         witness, not stats["budget_hit"], "exact", time.perf_counter() - t_start, stats
     )
+
+
+def count_delta_cliques(tg: TemporalGraph, k: int, delta: float) -> int:
+    """The number of delta-cliques of exactly k vertices: n for k = 1, m for
+    k = 2, and from k = 3 on, the exact route's sweep with its incumbent held
+    at k - 1, counting each k-clique at its first edge in label order."""
+    if k < 1 or not 0.0 <= delta <= 1.0:
+        raise ValueError("require k >= 1 and delta in [0, 1]")
+    if k <= 2:
+        return (tg.n, tg.m)[k - 1]
+    # a k-clique needs C(k, 2) edges, so the kernel never sees a huge k
+    if k * (k - 1) // 2 > tg.m:
+        return 0
+    return _sweep(tg, delta, k, math.inf)[1]
 
 
 def max_delta_clique_heuristic(
@@ -361,7 +371,7 @@ def max_delta_clique_heuristic(
         addresses = np.array(
             [_capsule_pointer(g.capsule, b"BitGenerator") for g in gens], dtype=np.uint64
         )
-        best, _ = _run_kernel(
+        size, witness, _ = _run_kernel(
             "tc_heuristic",
             tg.n,
             tg.m,
@@ -379,6 +389,7 @@ def max_delta_clique_heuristic(
             _PLATEAU_MOVES,
             deadline,
         )
+        best = witness[:size].tolist()
     # with no edges a single vertex is the optimum
     witness = delta_clique_check(tg, sorted(best or [0]), delta)
     return SolveResult(witness, tg.m == 0, "heuristic", time.perf_counter() - t_start)

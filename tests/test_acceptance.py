@@ -10,7 +10,8 @@ hash seed and demands byte-identical CSV trial records.
 Covered:
   1. closed-form window probability vs Monte Carlo (20 parameter combos,
      1e5 trials each, 3 binomial standard errors)
-  2. expected clique count vs Monte Carlo (3 configs, 1e4 instances,
+  2. expected clique count vs Monte Carlo (3 configs at n <= 12 with 1e4
+     instances each, and (300, 8, 0.3), near its threshold, with 50;
      3 standard errors; the (4,3,0.5) target is exactly 2.0)
   3. exact solver vs brute force on 500 seeded instances x 4 deltas
   4. omega(n) stays inside [floor(0.5 k0), ceil(1.25 k0)] with
@@ -73,7 +74,8 @@ from tempclique.solver import (
 MASTER_SEED = 1729
 
 WINDOW_GRID = list(product((1, 2, 3, 6, 10), (0.1, 0.3, 0.5, 0.9)))
-COUNT_CONFIGS = [(4, 3, 0.5), (10, 4, 0.3), (12, 3, 0.7)]
+# (n, k, delta, trials); config i runs from seed derive_seed(MASTER_SEED, 100 + i)
+COUNT_CONFIGS = [(4, 3, 0.5, 10**4), (10, 4, 0.3, 10**4), (12, 3, 0.7, 10**4), (300, 8, 0.3, 50)]
 ORACLE_INSTANCES = 500
 ORACLE_DELTAS = (0.1, 0.3, 0.5, 0.9)
 SWEEP_NS = [50, 100, 200, 300]
@@ -96,7 +98,7 @@ def _digest(text: str) -> str:
 
 
 # ------------------------------------------------------------------ runners
-# The estimators' reports hold 10^4-10^5 records each, so their runners cache
+# The estimators' reports hold up to 10^5 records each, so their runners cache
 # only {key: sha256-of-csv} and the means; the others cache the report.
 
 
@@ -118,9 +120,9 @@ def _clique_count_digests() -> dict:
     key = "clique_count"
     if key not in _CACHE:
         out = {}
-        for idx, (n, k, d) in enumerate(COUNT_CONFIGS):
+        for idx, (n, k, d, trials) in enumerate(COUNT_CONFIGS):
             rpt = estimate_clique_count(
-                n, k, d, trials=10**4, seed=derive_seed(MASTER_SEED, 100 + idx)
+                n, k, d, trials=trials, seed=derive_seed(MASTER_SEED, 100 + idx)
             )
             out[(n, k, d)] = _digest(rpt.csv_text())
             _CACHE[("clique_count_stats", (n, k, d))] = (rpt.mean, rpt.stderr)
@@ -204,7 +206,7 @@ def test_criterion_2_expected_count_monte_carlo():
     _clique_count_digests()
     failures = []
     details = []
-    for n, k, d in COUNT_CONFIGS:
+    for n, k, d, _ in COUNT_CONFIGS:
         mean, stderr = _CACHE[("clique_count_stats", (n, k, d))]
         target = expected_clique_count(n, k, d)
         z = abs(mean - target) / stderr

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from tempclique import analytics
+from tempclique import experiments
 from tempclique import solver as solver_module
 from tempclique.cli import main
 from tempclique.experiments import EXACT_SWEEP_MAX_N
@@ -179,6 +181,25 @@ def test_analyze_overlap_bound(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--what", "overlap-bound", "--n", "10", "--k", "2", "--delta", "0.3")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(32 / 63, rel=1e-12)
+
+
+def test_analyze_overlap_bound_past_double_range_returns_at_once(capsys, monkeypatch):
+    """At k = 10^8 the t = k - 1 term is past double range, so the bound is
+    inf without a loop over t: only three log binomials are taken."""
+    calls = []
+    log_choose = analytics.log_choose
+
+    def counted(n, k):
+        calls.append((n, k))
+        assert len(calls) <= 3, "the bound loops over t"
+        return log_choose(n, k)
+
+    monkeypatch.setattr(analytics, "log_choose", counted)
+    code, out, err = run_cli(
+        capsys, "analyze", "--what", "overlap-bound", "--n", "200000000", "--k", "100000000", "--delta", "0.5"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == float("inf")
 
 
 # stdout of one run of each `analyze --what` variant, byte for byte: the
@@ -388,6 +409,30 @@ def test_solve_without_gcc_exits_2(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "") and err.startswith("infeasible:")
     code, out, _ = run_cli(capsys, "solve", "--in", str(path), "--delta", "0.3", "--mode", "bruteforce")
     assert code == 0 and json.loads(out)["mode"] == "bruteforce"
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError("Unable to allocate 745. GiB for an array"), "Unable to allocate 745. GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_running_out_of_memory_is_infeasible(tmp_path, capsys, monkeypatch, error, message):
+    """An allocation that fails, numpy's or the kernel's, exits 2 with one
+    line and no traceback, and writes no file."""
+
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(experiments, "uniform_block", exhausted)
+    code, out, err = run_cli(
+        capsys,
+        "experiment", "--name", "window-prob", "--h", "1000000", "--delta", "0.5",
+        "--trials", "100000", "--seed", "1", "--outdir", str(tmp_path),
+    )
+    assert (code, out, err) == (2, "", f"infeasible: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_experiment_requires_flags(tmp_path, capsys):

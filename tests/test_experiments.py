@@ -113,7 +113,7 @@ def test_clique_count_k2_is_all_pairs():
 
 
 def test_clique_count_matches_predicate_loop():
-    """The vectorized subset count must agree with naive is_delta_clique checks."""
+    """The kernel's count must agree with naive is_delta_clique checks."""
     from itertools import combinations
 
     n, k, d = 7, 3, 0.4
@@ -132,13 +132,25 @@ def test_clique_count_tetrahedron_band():
     assert abs(rep.mean - 2.0) <= band
 
 
+def test_clique_count_validates():
+    """k outside 1..n and delta outside [0, 1], rejected by the closed form
+    the guard evaluates, and fewer than one trial."""
+    for n, k, d, trials in ((5, 0, 0.5, 1), (5, 6, 0.5, 1), (5, 3, 1.5, 1), (5, 3, -0.1, 1), (5, 3, 0.5, 0)):
+        with pytest.raises(ValueError):
+            estimate_clique_count(n, k, d, trials, seed=0)
+
+
 def test_clique_count_guard():
-    with pytest.raises(InfeasibleConfigError):
-        estimate_clique_count(50, 25, 0.5, 10, seed=0)
+    """n past the exact sweeps' guard, or an expected count E[X_k] past 10^6
+    (E[X_5] is about 5.5e7 at n = 100, delta = 0.9)."""
+    with pytest.raises(InfeasibleConfigError, match="n <= 1000"):
+        estimate_clique_count(1001, 3, 0.1, 1, seed=0)
+    with pytest.raises(InfeasibleConfigError, match="count guard"):
+        estimate_clique_count(100, 5, 0.9, 1, seed=0)
 
 
 def test_clique_count_guard_never_computes_a_huge_binomial(monkeypatch):
-    """The subset guard refuses C(10^8, 5 * 10^7) without computing it."""
+    """The count guard refuses C(10^8, 5 * 10^7) without computing it."""
 
     def small_comb_only(n, k):
         assert min(k, n - k) <= 64, f"comb({n}, {k}) computed"
@@ -147,7 +159,7 @@ def test_clique_count_guard_never_computes_a_huge_binomial(monkeypatch):
     # both modules: the guard may compute through neither
     monkeypatch.setattr(analytics, "comb", small_comb_only)
     monkeypatch.setattr(experiments, "comb", small_comb_only, raising=False)
-    with pytest.raises(InfeasibleConfigError, match="subset guard"):
+    with pytest.raises(InfeasibleConfigError, match="n <= 1000"):
         estimate_clique_count(10**8, 5 * 10**7, 0.5, 1, seed=1)
 
 

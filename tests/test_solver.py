@@ -3,10 +3,12 @@
 The exact solver is checked against subset enumeration on small instances
 (complete and sparse), and the clique number of static graphs (every label
 0, solved at delta = 0) against networkx's Bron-Kerbosch enumeration — an
-independent implementation family.
+independent implementation family.  The exact sweep's k-clique count is
+checked against vectorized subset enumeration.
 """
 
 import re
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -26,6 +28,7 @@ from tempclique.seeds import derive_seed
 from tempclique.solver import (
     BRUTEFORCE_MAX_N,
     InfeasibleConfigError,
+    count_delta_cliques,
     greedy_static_clique,
     max_delta_clique_bruteforce,
     max_delta_clique_exact,
@@ -767,6 +770,64 @@ def test_exact_witness_matches_id_order_sweep_across_word_boundaries(n):
             res = max_delta_clique_exact(tg, d)
             assert res.optimal
             assert res.clique.vertices == id_order_sweep(tg, d), (n, d, tg.m)
+
+
+# ------------------------------------------------------------ k-clique counts
+
+
+def subset_clique_count(tg, k, delta):
+    """The number of delta-cliques of exactly k vertices, by vectorized
+    enumeration of all C(n, k) vertex subsets: the oracle for
+    `count_delta_cliques`."""
+    subsets = np.array(list(combinations(range(tg.n), k)), dtype=np.int64).reshape(-1, k)
+    if k == 1:
+        return len(subsets)
+    lab = np.full((tg.n, tg.n), np.nan)
+    lab[tg.u, tg.v] = lab[tg.v, tg.u] = tg.labels
+    ii, jj = zip(*combinations(range(k), 2))
+    sub = lab[subsets[:, list(ii)], subsets[:, list(jj)]]
+    # a missing edge reads nan, which makes the subset's width fail the test
+    return int((sub.max(axis=1) - sub.min(axis=1) <= delta).sum())
+
+
+def count_instances(n, s):
+    """A complete graph, its labels rounded to one digit (ties), G(n, 0.6)
+    with every label 0, and a sparse graph with isolated vertices among and
+    above the ones that carry an edge."""
+    g = generate_random_complete(n, s)
+    return {
+        "complete": g,
+        "rounded": TemporalGraph(n, g.u, g.v, np.round(g.labels, 1)),
+        "equal": generate_er(n, 0.6, s),
+        "sparse": with_isolated_vertices(sparse_instance(n, 0.6, s), 3, s),
+    }
+
+
+@pytest.mark.parametrize(
+    "n, ks", [(n, range(1, 7)) for n in (2, 5, 8, 10, 12)] + [(n, [3]) for n in (63, 64, 65)]
+)
+def test_count_delta_cliques_matches_subset_enumeration(n, ks):
+    """Every k-clique is counted once, at its first edge in label order, on
+    either side of the kernel's word boundary too."""
+    counted = 0
+    for kind, tg in count_instances(n, derive_seed(2424, n)).items():
+        for k in ks:
+            for d in (0.0, 0.1, 0.5, 1.0):
+                want = subset_clique_count(tg, k, d)
+                assert count_delta_cliques(tg, k, d) == want, (kind, k, d)
+                counted += want > 0
+    assert counted >= 10
+
+
+def test_count_delta_cliques_small_k_and_edge_cases():
+    tg = with_isolated_vertices(sparse_instance(9, 0.5, 77), 4, 77)
+    assert count_delta_cliques(tg, 1, 0.3) == 13
+    assert count_delta_cliques(tg, 2, 0.0) == tg.m
+    assert count_delta_cliques(generate_random_complete(6, 1), 7, 1.0) == 0
+    assert count_delta_cliques(TemporalGraph.from_edges(4, []), 3, 1.0) == 0
+    for k, d in ((0, 0.5), (3, 1.5), (3, -0.1)):
+        with pytest.raises(ValueError, match=r"^require k >= 1 and delta in \[0, 1\]$"):
+            count_delta_cliques(tg, k, d)
 
 
 # (case, witness, counters in STAT_NAMES order) of the exact kernel; the

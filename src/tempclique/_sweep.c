@@ -9,7 +9,8 @@
  *
  * Vertices are 0..n-1; a bitset has W = ceil(n / 64) words and adj holds n
  * of them, one per bit position.  Every function that allocates returns -1
- * when memory runs out.
+ * when memory runs out; tc_sweep and tc_heuristic return -2 when adj would
+ * exceed 1 GiB, before allocating anything sized by n.
  */
 /* clock_gettime and CLOCK_MONOTONIC, also under -std=c11 */
 #define _POSIX_C_SOURCE 199309L
@@ -30,6 +31,12 @@ enum {
     ST_BUDGET_HIT,      /* 1 when the sweep stopped at the deadline */
     ST_COUNT
 };
+
+/* adj's limit: 2^27 words, 1 GiB */
+enum { MAX_ADJ_WORDS = 1 << 27 };
+
+/* Radix orders take RADIX_BITS bits of the key a pass. */
+enum { RADIX_BITS = 11, RADIX = 1 << RADIX_BITS };
 
 typedef struct {
     int64_t W;
@@ -94,7 +101,7 @@ static int expand(Search *S, int64_t d, size_t off, int64_t rsize, int64_t lo, i
     stats[ST_COLORINGS]++;
     /* depths d + 1 and d + 2 hold the coloring's scratch sets until the
      * children reuse d + 1 */
-    if (reserve((void **)&S->pool, &S->pool_words, (size_t)(d + 3) * W, sizeof(uint64_t)) ||
+    if (reserve((void **)&S->pool, &S->pool_words, (size_t)(d + 3) * (size_t)W, sizeof(uint64_t)) ||
         reserve((void **)&S->order, &S->order_len, off + 2 * (size_t)maxk, sizeof(int32_t)))
         return -1;
     uint64_t *P = S->pool + d * W, *rest = P + W, *Q = P + 2 * W;
@@ -142,7 +149,7 @@ static int expand(Search *S, int64_t d, size_t off, int64_t rsize, int64_t lo, i
             P = S->pool + d * W;
         } else if (rsize + 1 > S->best) {
             S->best = rsize + 1;
-            memcpy(S->best_set, S->rstack, (rsize + 1) * sizeof(int64_t));
+            memcpy(S->best_set, S->rstack, (size_t)(rsize + 1) * sizeof(int64_t));
         }
         P[w >> 6] &= ~(1ULL << (w & 63));
         if (S->timed_out) return 0;
@@ -183,11 +190,20 @@ static void clear_edge(Search *S, int64_t p, int64_t q) {
     S->adj[q * S->W + (p >> 6)] &= ~(1ULL << (p & 63));
 }
 
+/* The sweep's edges in label order: edge e is input edge ord[e], with label
+ * lab[ord[e]] and endpoints numbered rank[2 ord[e]] and rank[2 ord[e] + 1]. */
+typedef struct {
+    const uint32_t *ord, *rank;
+} Edges;
+
+static int64_t end_u(const Edges *E, int64_t e) { return E->rank[2 * (size_t)E->ord[e]]; }
+static int64_t end_v(const Edges *E, int64_t e) { return E->rank[2 * (size_t)E->ord[e] + 1]; }
+
 /* Rebuild adj from the window's edges lo..hi-1, with vertex v at bit pos[v]. */
-static void build_window(Search *S, int64_t n, const int64_t *su, const int64_t *sv,
-                         int64_t lo, int64_t hi, const int64_t *pos) {
-    memset(S->adj, 0, (size_t)n * S->W * sizeof(uint64_t));
-    for (int64_t e = lo; e < hi; e++) set_edge(S, pos[su[e]], pos[sv[e]]);
+static void build_window(Search *S, int64_t n, const Edges *E, int64_t lo, int64_t hi,
+                         const int64_t *pos) {
+    memset(S->adj, 0, (size_t)n * (size_t)S->W * sizeof(uint64_t));
+    for (int64_t e = lo; e < hi; e++) set_edge(S, pos[end_u(E, e)], pos[end_v(E, e)]);
 }
 
 /* Renumber bit positions by descending window degree, ties by vertex id.
@@ -207,13 +223,18 @@ static void relabel(Search *S, int64_t n, int64_t *pos, int64_t *inv, int64_t *d
     for (int64_t p = 0; p < n; p++) pos[inv[p]] = p;
 }
 
+/* Allocates the search over n bit positions.  Returns -1 when memory runs
+ * out, and -2, having allocated nothing, when the adjacency's n bitsets of W
+ * words would take more than MAX_ADJ_WORDS words. */
 static int search_init(Search *S, int64_t n, double deadline, int64_t *stats) {
     memset(S, 0, sizeof *S);
+    /* n is tested alone first, so that neither n + 63 nor n W overflows */
+    if (n > MAX_ADJ_WORDS || n * ((n + 63) / 64) > MAX_ADJ_WORDS) return -2;
     S->W = (n + 63) / 64;
     S->has_deadline = deadline < INFINITY;
     S->deadline = deadline;
     S->stats = stats;
-    S->adj = calloc((size_t)n * S->W + 1, sizeof(uint64_t));
+    S->adj = calloc((size_t)n * (size_t)S->W + 1, sizeof(uint64_t));
     S->best_set = malloc(((size_t)n + 2) * sizeof(int64_t));
     S->rstack = malloc(((size_t)n + 2) * sizeof(int64_t));
     return S->adj && S->best_set && S->rstack ? 0 : -1;
@@ -228,53 +249,133 @@ static void search_free(Search *S) {
 }
 
 /* The end of the window anchored at label t: the first index at or past hi
- * of the sorted labels slab[0..m) whose label x fails x - t <= delta. */
-static int64_t window_end(const double *slab, int64_t m, int64_t hi, double t, double delta) {
-    while (hi < m && slab[hi] - t <= delta) hi++;
+ * of the sorted labels lab[ord[0..m)] (lab[0..m) when ord is NULL) whose
+ * label x fails x - t <= delta. */
+static int64_t window_end(const double *lab, const uint32_t *ord, int64_t m, int64_t hi, double t,
+                          double delta) {
+    while (hi < m && lab[ord ? ord[hi] : hi] - t <= delta) hi++;
     return hi;
 }
 
-/* The anchored-window sweep over edges sorted by label (su, sv, slab).
+/* The keys a radix order sorts.  With lab, key j is the bits of label j
+ * with the sign bit cleared: labels lie in [0, 1], so their bits order as
+ * their values do, and -0.0 ties with 0.0 as under numpy's stable argsort.
+ * Without, key j is the id at endpoint slot j: u[j / 2] for even j, v[j / 2]
+ * for odd j. */
+typedef struct {
+    const int64_t *u, *v;
+    const double *lab;
+} Keys;
+
+static uint64_t key(const Keys *K, uint32_t j) {
+    if (K->lab) {
+        uint64_t bits;
+        memcpy(&bits, K->lab + j, sizeof bits);
+        return bits & ~(1ULL << 63);
+    }
+    return (uint64_t)(j & 1 ? K->v : K->u)[j >> 1];
+}
+
+/* The stable order of keys 0..N-1 by LSD radix passes of RADIX_BITS bits,
+ * in a or b, whichever is returned; both hold N entries.  A digit that
+ * every key shares is skipped, so keys below 2^RADIX_BITS take one pass. */
+static uint32_t *radix_order(const Keys *K, uint32_t N, uint32_t *a, uint32_t *b) {
+    uint64_t all = ~0ULL, any = 0;
+    for (uint32_t j = 0; j < N; j++) {
+        const uint64_t x = key(K, j);
+        all &= x;
+        any |= x;
+        a[j] = j;
+    }
+    for (unsigned shift = 0; shift < 64; shift += RADIX_BITS) {
+        if (!((all ^ any) >> shift & (RADIX - 1))) continue;
+        uint32_t start[RADIX] = {0};
+        for (uint32_t j = 0; j < N; j++) start[key(K, a[j]) >> shift & (RADIX - 1)]++;
+        for (uint32_t d = 0, at = 0; d < RADIX; d++) {
+            const uint32_t c = start[d];
+            start[d] = at;
+            at += c;
+        }
+        for (uint32_t j = 0; j < N; j++) b[start[key(K, a[j]) >> shift & (RADIX - 1)]++] = a[j];
+        uint32_t *t = a;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* The anchored-window sweep over the m > 0 edges (u[e], v[e]) of label
+ * lab[e], the columns of a graph, u[e] < v[e].
  *
- * The window anchored at edge a holds the edges e >= a with
- * slab[e] - slab[a] <= delta; when it holds enough edges for a larger
- * clique, search_anchor searches the cliques through edge a there, on bit
- * positions renumbered by descending window degree whenever the nodes since
- * the last renumbering reach the window's edge count.  After a full sweep,
- * the anchor where the incumbent last grew is searched again with bit
- * positions equal to vertex ids, from the size the incumbent had before it,
- * so the witness is that of an id-order sweep.
+ * It first numbers the vertices that carry an edge 0..n-1 in id order, by
+ * a radix order of the 2m endpoint ids, and puts the edges in stable label
+ * order, by a radix order of the label bits; both take O(m) time, and the
+ * caller ensures 2m < 2^32 for the 32-bit indices.  Nothing is sized by
+ * the ids themselves, so they may be any int64.
  *
+ * The window anchored at edge a of the label order holds the edges e >= a
+ * whose label x has x - t <= delta, t the label of a; when it holds enough
+ * edges for a larger clique, search_anchor searches the cliques through
+ * edge a there, on bit positions renumbered by descending window degree
+ * whenever the nodes since the last renumbering reach the window's edge
+ * count.  After a full sweep, the anchor where the incumbent last grew is
+ * searched again with bit positions equal to vertex numbers, from the size
+ * the incumbent had before it, so the witness is that of an id-order sweep.
  * The incumbent starts as the first edge, so a deadline that passes before
- * the first anchor still leaves a 2-clique; m must be positive.
+ * the first anchor still leaves a 2-clique.
  *
- * With k = 0, writes the witness (vertex numbers) to `witness`, which holds
- * n entries, and returns its size.  stats receives ST_COUNT counters.
- * Returns -1 when memory runs out.  With k >= 3, returns instead the number
- * of delta-cliques of exactly k vertices, each counted at its first edge in
- * label order: the incumbent is held at k - 1, so the bounds prune exactly
- * what cannot hold a k-clique, and it never grows, so nothing is re-searched. */
-int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, const double *slab,
-                 double delta, int64_t k, double deadline, int64_t *witness, int64_t *stats) {
+ * With k = 0, writes the witness as vertex ids to `witness`, which holds an
+ * entry per vertex that carries an edge, and returns its size.  stats
+ * receives ST_COUNT counters.  Returns -1 when memory runs out and -2 when
+ * the bitsets of those vertices exceed search_init's limit.  With k >= 3,
+ * returns instead the number of delta-cliques of exactly k vertices, each
+ * counted at its first edge in label order: the incumbent is held at k - 1,
+ * so the bounds prune exactly what cannot hold a k-clique, and it never
+ * grows, so nothing is re-searched. */
+int64_t tc_sweep(int64_t m, const int64_t *u, const int64_t *v, const double *lab, double delta,
+                 int64_t k, double deadline, int64_t *witness, int64_t *stats) {
     Search S;
-    int64_t *pos = malloc((size_t)n * sizeof(int64_t));
-    int64_t *inv = malloc((size_t)n * sizeof(int64_t));
-    int64_t *deg = malloc((size_t)n * sizeof(int64_t));
-    int64_t *start = malloc((size_t)n * sizeof(int64_t));
+    const uint32_t ends = (uint32_t)(2 * m);
+    uint32_t *perm = malloc((size_t)ends * sizeof(uint32_t));
+    uint32_t *spare = malloc((size_t)ends * sizeof(uint32_t));
+    int64_t *ids = NULL, *pos = NULL, *inv = NULL, *deg = NULL, *start = NULL;
     int64_t size = -1;
+    memset(&S, 0, sizeof S);
     memset(stats, 0, ST_COUNT * sizeof(int64_t));
-    if (search_init(&S, n, deadline, stats) || !pos || !inv || !deg || !start) goto done;
-    for (int64_t v = 0; v < n; v++) pos[v] = inv[v] = v;
+    if (!perm || !spare) goto done;
+    const Keys ids_at = {u, v, NULL}, labels = {NULL, NULL, lab};
+    uint32_t *sorted = radix_order(&ids_at, ends, perm, spare);
+    uint32_t *rank = sorted == perm ? spare : perm;
+    int64_t n = 0;
+    for (uint32_t i = 0; i < ends; i++) {
+        n += !i || key(&ids_at, sorted[i]) != key(&ids_at, sorted[i - 1]);
+        rank[sorted[i]] = (uint32_t)(n - 1);
+    }
+    if (!(ids = malloc((size_t)n * sizeof(int64_t)))) goto done;
+    for (uint32_t j = 0; j < ends; j++) ids[rank[j]] = (int64_t)key(&ids_at, j);
+    /* the endpoint order is spent: its two halves hold the label passes */
+    const Edges E = {radix_order(&labels, (uint32_t)m, sorted, sorted + m), rank};
+    const int init = search_init(&S, n, deadline, stats);
+    if (init) {
+        size = init;
+        goto done;
+    }
+    pos = malloc((size_t)n * sizeof(int64_t));
+    inv = malloc((size_t)n * sizeof(int64_t));
+    deg = malloc((size_t)n * sizeof(int64_t));
+    start = malloc((size_t)n * sizeof(int64_t));
+    if (!pos || !inv || !deg || !start) goto done;
+    for (int64_t x = 0; x < n; x++) pos[x] = inv[x] = x;
     S.best = size = 2;
-    witness[0] = su[0];
-    witness[1] = sv[0];
+    witness[0] = end_u(&E, 0);
+    witness[1] = end_v(&E, 0);
     S.count_k = k >= 3 ? k : 0;
     if (S.count_k) S.best = k - 1;
     int64_t hi = 0, relabeled_at = 0, grown = -1, grown_before = 0;
     for (int64_t a = 0; a < m; a++) {
-        for (const int64_t end = window_end(slab, m, hi, slab[a], delta); hi < end; hi++)
-            set_edge(&S, pos[su[hi]], pos[sv[hi]]);
-        if (a > 0) clear_edge(&S, pos[su[a - 1]], pos[sv[a - 1]]);
+        for (const int64_t end = window_end(lab, E.ord, m, hi, lab[E.ord[a]], delta); hi < end; hi++)
+            set_edge(&S, pos[end_u(&E, hi)], pos[end_v(&E, hi)]);
+        if (a > 0) clear_edge(&S, pos[end_u(&E, a - 1)], pos[end_v(&E, a - 1)]);
         if (S.has_deadline && now() > deadline) {
             stats[ST_BUDGET_HIT] = 1;
             break;
@@ -287,12 +388,12 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
         }
         if (stats[ST_NODES] - relabeled_at >= hi - a) {
             relabel(&S, n, pos, inv, deg, start);
-            build_window(&S, n, su, sv, a, hi, pos);
+            build_window(&S, n, &E, a, hi, pos);
             relabeled_at = stats[ST_NODES];
             stats[ST_RELABELS]++;
         }
         const int64_t before = S.best;
-        if (search_anchor(&S, pos[su[a]], pos[sv[a]])) goto fail;
+        if (search_anchor(&S, pos[end_u(&E, a)], pos[end_v(&E, a)])) goto fail;
         if (S.best > before) {
             for (int64_t i = 0; i < S.best; i++) witness[i] = inv[S.best_set[i]];
             size = S.best;
@@ -305,21 +406,26 @@ int64_t tc_sweep(int64_t n, int64_t m, const int64_t *su, const int64_t *sv, con
         }
     }
     if (grown >= 0 && !stats[ST_BUDGET_HIT]) {
-        for (int64_t v = 0; v < n; v++) pos[v] = v;
-        build_window(&S, n, su, sv, grown, window_end(slab, m, grown, slab[grown], delta), pos);
+        for (int64_t x = 0; x < n; x++) pos[x] = x;
+        build_window(&S, n, &E, grown, window_end(lab, E.ord, m, grown, lab[E.ord[grown]], delta), pos);
         S.best = grown_before;
-        if (search_anchor(&S, su[grown], sv[grown])) goto fail;
+        if (search_anchor(&S, end_u(&E, grown), end_v(&E, grown))) goto fail;
         if (!S.timed_out) {
-            memcpy(witness, S.best_set, S.best * sizeof(int64_t));
+            memcpy(witness, S.best_set, (size_t)S.best * sizeof(int64_t));
             size = S.best;
         }
     }
     if (S.count_k) size = S.count;
+    else
+        for (int64_t i = 0; i < size; i++) witness[i] = ids[witness[i]];
     goto done;
 fail:
     size = -1;
 done:
     search_free(&S);
+    free(perm);
+    free(spare);
+    free(ids);
     free(pos);
     free(inv);
     free(deg);
@@ -532,8 +638,8 @@ static void improve(Heur *H, bitgen_t *g, int64_t rounds, int64_t plateau) {
  * tests step past the window bounds in between, so placing an edge takes
  * O(1) steps, not a binary search, unless many bounds crowd two cells.
  *
- * Writes the incumbent in list order to `witness` (n entries) and returns
- * its size; stats receives ST_BUDGET_HIT. */
+ * Writes the incumbent in list order to `witness` (min(n, 2m) entries) and
+ * returns its size; stats receives ST_BUDGET_HIT. */
 enum { CELLS = 4096 };
 
 int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, const double *lab,
@@ -546,7 +652,11 @@ int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, c
     memset(&H, 0, sizeof H);
     memset(stats, 0, ST_COUNT * sizeof(int64_t));
     H.n = n;
-    int ok = !search_init(&H.S, n, deadline, stats);
+    const int init = search_init(&H.S, n, deadline, stats);
+    if (init) {
+        search_free(&H.S);
+        return init;
+    }
     const int64_t W = H.S.W;
     H.clique = H.S.rstack;
     H.deg = malloc((size_t)n * sizeof(int64_t));
@@ -558,20 +668,20 @@ int64_t tc_heuristic(int64_t n, int64_t m, const int64_t *u, const int64_t *v, c
     int64_t *first = calloc((size_t)nseg + 1, sizeof(int64_t));
     int64_t *enter = calloc((size_t)nseg, sizeof(int64_t));
     int64_t *leave = calloc((size_t)nseg, sizeof(int64_t));
-    /* vertex numbers fit 32 bits: the caller caps the n x W-word adjacency */
+    /* vertex numbers fit 32 bits: search_init caps the n x W-word adjacency */
     uint32_t *pairs = malloc(2 * (size_t)m * sizeof(uint32_t));
     double *lo = malloc((size_t)windows * sizeof(double));
     double *hi = malloc((size_t)windows * sizeof(double));
     /* (enter, leave) pairs, one per cell and one for the label 1 */
     int64_t *cell = malloc(2 * ((size_t)CELLS + 1) * sizeof(int64_t));
-    ok = ok && H.deg && H.cnt && H.in_c && H.cand && H.mask && seg && first && enter && leave;
+    int ok = H.deg && H.cnt && H.in_c && H.cand && H.mask && seg && first && enter && leave;
     ok = ok && pairs && lo && hi && cell;
     for (int i = 0; i < 4; i++) ok = ok && (H.buf[i] = malloc(((size_t)n + 1) * sizeof(int64_t)));
     if (!ok) goto done;
     for (int64_t j = 0, end = 0; j < windows; j++) {
         int64_t most = 0;
         for (int64_t a = bounds[j]; a < bounds[j + 1]; a++) {
-            end = window_end(slab, m, end, slab[a], delta);
+            end = window_end(slab, NULL, m, end, slab[a], delta);
             if (end - a > most) {
                 most = end - a;
                 lo[j] = slab[a];

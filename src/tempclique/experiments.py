@@ -166,6 +166,10 @@ def estimate_clique_count(
     with `count_delta_cliques`.  Guarded to n <= EXACT_SWEEP_MAX_N, checked
     first, and to an expected count E[X_k] <= 10^6, which the extras carry;
     `expected_clique_count` rejects k outside 1..n and delta outside [0, 1].
+    The guard bounds the count, not the running time: near the threshold of
+    a large n, E[X_k] is small but counting is as hard as proving omega, so
+    n = 1000, k = 16, delta = 0.5 (E[X_16] = 3.86) passes it and runs for
+    more than 30 s a trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

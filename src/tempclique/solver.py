@@ -19,8 +19,13 @@ window.
   the heuristic; it is built with gcc on the first exact or heuristic solve
   into `__pycache__/` next to this file and loaded with ctypes.  Without gcc,
   or without a writable cache directory, those solves raise
-  InfeasibleConfigError.  A static graph is a temporal graph with every label
-  0, so its clique number is the exact solve at delta = 0.
+  InfeasibleConfigError.  The kernel takes the graph's own columns and does
+  the set-up in O(m): radix orders put the edges in stable label order and
+  number the vertices that carry an edge in id order, so nothing is sized by
+  n.  It refuses, as InfeasibleConfigError, bitsets beyond 1 GiB: of those
+  vertices for exact, of all n for the heuristic.  A static graph is a
+  temporal graph with every label 0, so its clique number is the exact
+  solve at delta = 0.
 * heuristic: randomized greedy plus add, (1,2)-swap and plateau local search
   over a spread of anchored windows, in the same kernel on bitsets of all n
   vertices, drawing from numpy bit generators it is handed; valid but not
@@ -101,8 +106,6 @@ STAT_NAMES = (
 _KERNEL_SOURCE = Path(__file__).with_name("_sweep.c")
 _COMPILER = ("gcc", "-O2", "-shared", "-fPIC")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
-# the kernel's adjacency is n rows of ceil(n / 64) words
-_KERNEL_MAX_BYTES = 1 << 30
 _kernel = None
 # a bit generator's `capsule` holds its bitgen_t; this reads the address
 # without building the ctypes function wrappers of `.ctypes`
@@ -113,8 +116,8 @@ _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
 _SIGNATURES = {
-    "tc_sweep": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, ctypes.c_double,
-                 ctypes.c_int64, ctypes.c_double, _i64, _i64],
+    "tc_sweep": [ctypes.c_int64, _i64, _i64, _f64, ctypes.c_double, ctypes.c_int64,
+                 ctypes.c_double, _i64, _i64],
     "tc_heuristic": [ctypes.c_int64, ctypes.c_int64, _i64, _i64, _f64, _f64, ctypes.c_double,
                      ctypes.c_int64, _i64, ctypes.c_int64, _u64, ctypes.c_int64, ctypes.c_int64,
                      ctypes.c_int64, ctypes.c_double, _i64, _i64],
@@ -162,16 +165,15 @@ def _load_kernel() -> ctypes.CDLL:
     return kernel
 
 
-def _run_kernel(name: str, n: int, m: int, *args) -> tuple[int, np.ndarray, dict]:
-    """Call kernel function `name` on n vertices and m edges; return its result
-    (a witness size, or tc_sweep's count), its n-entry witness buffer and its counters."""
-    if n * ((n + 63) // 64) * 8 > _KERNEL_MAX_BYTES:
-        raise InfeasibleConfigError(
-            f"the solver's bitsets for {n} vertices exceed {_KERNEL_MAX_BYTES >> 20} MiB"
-        )
-    witness = np.empty(n, dtype=np.int64)
+def _run_kernel(name: str, tg: TemporalGraph, *args) -> tuple[int, np.ndarray, dict]:
+    """Call kernel function `name` with args on tg (m > 0); return its result
+    (a witness size, or tc_sweep's count), its witness buffer and its counters."""
+    # a clique of k >= 2 vertices has C(k, 2) <= m edges, so k <= 2m
+    witness = np.empty(min(tg.n, 2 * tg.m), dtype=np.int64)
     counters = np.zeros(len(STAT_NAMES), dtype=np.int64)
-    size = getattr(_load_kernel(), name)(n, m, *args, witness, counters)
+    size = getattr(_load_kernel(), name)(*args, witness, counters)
+    if size == -2:
+        raise InfeasibleConfigError("the solver's bitsets for this graph exceed 1024 MiB")
     if size < 0:
         raise MemoryError(f"{name} ran out of memory")
     return size, witness, dict(zip(STAT_NAMES, counters.tolist()))
@@ -283,14 +285,14 @@ def _deadline(t_start: float, time_budget: float | None) -> float:
 
 
 def _sweep(tg: TemporalGraph, delta: float, k: int, deadline: float) -> tuple:
-    """Run tc_sweep on tg's edges (m > 0) in stable label order, the vertices that carry one
-    renumbered 0..ids.size-1 in id order so nothing is sized by tg.n: (ids, *its result)."""
-    ids = np.unique(np.concatenate((tg.u, tg.v)))
-    order = np.argsort(tg.labels, kind="stable")
-    # renumber before reordering: sorted needles bisect several times faster
-    su = np.searchsorted(ids, tg.u)[order]
-    sv = np.searchsorted(ids, tg.v)[order]
-    return ids, *_run_kernel("tc_sweep", ids.size, tg.m, su, sv, tg.labels[order], delta, k, deadline)
+    """tc_sweep's result on tg's columns (m > 0).  The kernel puts the edges in
+    stable label order and numbers the vertices that carry one in id order, so
+    nothing is sized by tg.n, and it writes the witness as vertex ids."""
+    if tg.m >= 1 << 31:
+        raise InfeasibleConfigError(
+            f"the exact kernel indexes the 2m endpoints in 32 bits and refuses m = {tg.m}"
+        )
+    return _run_kernel("tc_sweep", tg, tg.m, tg.u, tg.v, tg.labels, delta, k, deadline)
 
 
 def max_delta_clique_exact(
@@ -322,8 +324,8 @@ def max_delta_clique_exact(
     best: tuple[int, ...] = (0,)
     stats = dict.fromkeys(STAT_NAMES, 0)
     if tg.m > 0:
-        ids, size, witness, stats = _sweep(tg, delta, 0, deadline)
-        best = tuple(ids[witness[:size]].tolist())
+        size, witness, stats = _sweep(tg, delta, 0, deadline)
+        best = tuple(witness[:size].tolist())
     witness = delta_clique_check(tg, best, delta)
     return SolveResult(
         witness, not stats["budget_hit"], "exact", time.perf_counter() - t_start, stats
@@ -341,7 +343,7 @@ def count_delta_cliques(tg: TemporalGraph, k: int, delta: float) -> int:
     # a k-clique needs C(k, 2) edges, so the kernel never sees a huge k
     if k * (k - 1) // 2 > tg.m:
         return 0
-    return _sweep(tg, delta, k, math.inf)[1]
+    return _sweep(tg, delta, k, math.inf)[0]
 
 
 def max_delta_clique_heuristic(
@@ -373,6 +375,7 @@ def max_delta_clique_heuristic(
         )
         size, witness, _ = _run_kernel(
             "tc_heuristic",
+            tg,
             tg.n,
             tg.m,
             tg.u,

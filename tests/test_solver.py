@@ -4,7 +4,9 @@ The exact solver is checked against subset enumeration on small instances
 (complete and sparse), and the clique number of static graphs (every label
 0, solved at delta = 0) against networkx's Bron-Kerbosch enumeration — an
 independent implementation family.  The exact sweep's k-clique count is
-checked against vectorized subset enumeration.
+checked against vectorized subset enumeration.  The kernel's own vertex
+numbering and stable label order are checked under an increasing map of the
+ids up to 2^63, signed zeros and extreme labels.
 """
 
 import re
@@ -333,11 +335,14 @@ def test_exact_refuses_bitsets_beyond_the_memory_guard():
 
 def test_heuristic_refuses_bitsets_beyond_the_memory_guard():
     """The heuristic's windows span all n vertices, so the same graph is
-    refused before any window is built."""
+    refused before any window is built, and so is one edge among 2^63 - 1
+    vertices, where n + 63 would overflow."""
     u = np.arange(0, 100_000, 2)
     tg = TemporalGraph(100_000, u, u + 1, np.full(u.size, 0.5))
     with pytest.raises(InfeasibleConfigError, match="MiB"):
         max_delta_clique_heuristic(tg, 0.5)
+    with pytest.raises(InfeasibleConfigError, match="MiB"):
+        max_delta_clique_heuristic(TemporalGraph.from_edges(2**63 - 1, [(0, 1, 0.5)]), 0.5)
 
 
 # ----------------------------------------------------------------- heuristic
@@ -919,3 +924,77 @@ def test_boundary_labels_property(data):
     exact = max_delta_clique_exact(tg, d)
     max_delta_clique_heuristic(tg, d, seed=0)
     assert exact.clique.size == max_delta_clique_bruteforce(tg, d).size
+
+
+# ------------------------------------------------ kernel renumbering and order
+
+
+def straddling_ids(count, seed):
+    """count increasing ids in [0, 2^63 - 1) that straddle 2^11, 2^22, 2^33,
+    2^44 and 2^55, the kernel's radix digits, and fill up at random."""
+    ids = {0, 2**63 - 2} | {2**b + d for b in (11, 22, 33, 44, 55) for d in (-1, 0, 1)}
+    rng = np.random.default_rng(seed)
+    while len(ids) < count:
+        ids.add(int(rng.integers(0, 2**63 - 1)))
+    return np.array(sorted(ids), dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind", ["complete", "sparse"])
+def test_exact_and_counts_follow_an_increasing_id_map(kind):
+    """The kernel numbers the vertices that carry an edge in id order, so an
+    increasing map of the ids maps the witness and leaves every counter and
+    count as it was."""
+    s = derive_seed(2525, len(kind))
+    tg = generate_random_complete(40, s) if kind == "complete" else sparse_instance(40, 0.6, s)
+    ids = straddling_ids(tg.n, s)
+    mapped = TemporalGraph(2**63 - 1, ids[tg.u], ids[tg.v], tg.labels)
+    for d in (0.3, 0.6):
+        res, got = max_delta_clique_exact(tg, d), max_delta_clique_exact(mapped, d)
+        assert got.clique.vertices == tuple(ids[list(res.clique.vertices)].tolist()), d
+        assert got.stats == res.stats, d
+        for k in (3, 4):
+            assert count_delta_cliques(mapped, k, d) == count_delta_cliques(tg, k, d), (d, k)
+
+
+def test_exact_and_counts_tie_negative_zero_with_zero():
+    """-0.0 ties with 0.0 in the label order, as under numpy's stable
+    argsort: flipping the sign of some zero labels changes nothing."""
+    for i, tg in enumerate((generate_er(80, 0.5, 2380), generate_er(70, 0.6, 2370))):
+        flip = np.random.default_rng(i).random(tg.m) < 0.5
+        mixed = TemporalGraph(tg.n, tg.u, tg.v, np.where(flip, -0.0, 0.0))
+        assert np.signbit(mixed.labels).any()
+        for d in (0.0, 0.5):
+            res, got = max_delta_clique_exact(tg, d), max_delta_clique_exact(mixed, d)
+            assert got.clique.vertices == res.clique.vertices, (i, d)
+            assert got.stats == res.stats, (i, d)
+            for k in (3, 4):
+                assert count_delta_cliques(mixed, k, d) == count_delta_cliques(tg, k, d)
+
+
+ULP_BELOW_1 = float(np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "palette",
+    [
+        (0.0, 5e-324, 1e-323),
+        (0.25, 0.5, 0.75),
+        (ULP_BELOW_1, 1.0),
+        (0.0, 5e-324, 0.5, float(np.nextafter(0.5, 1.0)), ULP_BELOW_1, 1.0),
+    ],
+)
+def test_exact_and_counts_on_extreme_labels(palette):
+    """Labels drawn from a few values, so most tie: the least subnormal,
+    exactly 1.0 and values one ulp apart.  Their bits differ in one, five or
+    all six radix digits.  The witness is that of the id-order sweep in
+    numpy's stable label order, and the counts are those of subset
+    enumeration."""
+    for n in (12, 40):
+        s = derive_seed(2526, n * 8 + len(palette))
+        g = generate_random_complete(n, s)
+        tg = TemporalGraph(n, g.u, g.v, np.random.default_rng(s).choice(palette, g.m))
+        for d in (0.0, 5e-324, 2.0**-53, 0.25, 1.0):
+            assert max_delta_clique_exact(tg, d).clique.vertices == id_order_sweep(tg, d), (n, d)
+            if n == 12:
+                for k in (3, 4):
+                    assert count_delta_cliques(tg, k, d) == subset_clique_count(tg, k, d)

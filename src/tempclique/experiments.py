@@ -30,6 +30,7 @@ import numpy as np
 from .analytics import expected_clique_count, k0_threshold, window_probability
 from .graphs import (
     TemporalGraph,
+    _complete_pairs,
     _pair_index,
     generate_er,
     generate_random_complete,
@@ -324,7 +325,7 @@ def build_planted_instance(
     if n < 2:
         raise ValueError("base graph needs at least 2 vertices")
     planted_hi = delta / 2.0 if mode == "half" else delta
-    iu, iv = np.triu_indices(n, k=1)
+    iu, iv = _complete_pairs(n)
     m = iu.size
     mask = np.zeros(m, dtype=bool)
     if base.m:
@@ -333,7 +334,7 @@ def build_planted_instance(
     labels = np.empty(m)
     labels[mask] = rng.random(int(mask.sum())) * planted_hi
     labels[~mask] = delta + rng.random(int(m - mask.sum())) * (1.0 - delta)
-    tg = TemporalGraph(n, iu.astype(np.int64), iv.astype(np.int64), labels)
+    tg = TemporalGraph._adopt(n, iu, iv, labels)
     return PlantedInstance(base, tg, (0.0, planted_hi))
 
 

@@ -7,11 +7,18 @@ clique when Q is complete in the underlying graph and the labels of its
 internal edges all fit in a closed window of width delta.  A static graph is
 a temporal graph whose labels are all 0: its delta-cliques are its cliques,
 for every delta.
+
+A graph's arrays are read-only.  The constructor copies the arrays it is
+given, since its caller may still write them; the generators and
+`TemporalGraph.from_columns` build fresh arrays for the graph and hand them
+over without a copy.  Complete instances share one set of pair columns,
+`_complete_pairs(n)`, cached for the last n asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -80,7 +87,18 @@ def _canonical_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class TemporalGraph:
-    """A simple graph with one label in [0, 1] per edge, canonically ordered."""
+    """A simple graph with one label in [0, 1] per edge, canonically ordered.
+
+    Every array is validated and then stored read-only.  `TemporalGraph(n, u,
+    v, labels)` stores copies, because its caller may still hold and write
+    the arrays it passed.  The package's own builders go through `_adopt`
+    instead, which freezes the arrays in place: the rule is that only code
+    that has just built an array for this graph, and keeps no writable
+    reference to it, may pass it to `_adopt`.  Those are the generators'
+    labels and kept pairs, the shared read-only `_complete_pairs` columns,
+    and the fresh sorted columns of `from_columns` (the path `io` reads
+    through).
+    """
 
     n: int
     u: np.ndarray
@@ -88,6 +106,21 @@ class TemporalGraph:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
+        self._store(copy=True)
+
+    @classmethod
+    def _adopt(cls, n: int, u: np.ndarray, v: np.ndarray, labels: np.ndarray) -> "TemporalGraph":
+        """The graph over arrays built for it, validated as by the
+        constructor and frozen in place instead of copied."""
+        tg = cls.__new__(cls)
+        for name, value in (("n", n), ("u", u), ("v", v), ("labels", labels)):
+            object.__setattr__(tg, name, value)
+        tg._store(copy=False)
+        return tg
+
+    def _store(self, copy: bool) -> None:
+        """Validate the fields and store the arrays read-only, copied first
+        when `copy`."""
         if self.n < 1:
             raise ValueError("n must be at least 1")
         u, v = _as_edge_arrays(self.n, self.u, self.v)
@@ -98,7 +131,8 @@ class TemporalGraph:
         if not ((labels >= 0.0) & (labels <= 1.0)).all():
             raise ValueError("labels must be finite and lie in [0, 1]")
         for name, arr in (("u", u), ("v", v), ("labels", labels)):
-            arr = arr.copy()
+            if copy:
+                arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -107,7 +141,7 @@ class TemporalGraph:
         """Build from endpoint and label columns in any edge order; pairs are
         canonicalized."""
         u, v, order = _canonical_pairs(a, b)
-        return cls(n, u, v, np.asarray(labels, dtype=np.float64)[order])
+        return cls._adopt(n, u, v, np.asarray(labels, dtype=np.float64)[order])
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "TemporalGraph":
@@ -160,6 +194,22 @@ class CliqueResult:
         return self.interval_max - self.interval_min
 
 
+@lru_cache(maxsize=1)
+def _complete_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical (u, v) columns of K_n, equal to `np.triu_indices(n, 1)`
+    but built without its n x n mask.  Sweeps run n-major, so only the last
+    n is cached.  The columns are read-only views of read-only arrays, so no
+    graph sharing them can make them writable again."""
+    rows = np.arange(n - 1, 0, -1, dtype=np.int64)  # row a holds n - 1 - a pairs
+    u = np.repeat(np.arange(n - 1, dtype=np.int64), rows)
+    # pair i of the whole list, in row a starting at s_a, is (a, i - (s_a - a - 1))
+    shift = np.cumsum(rows) - rows - np.arange(1, n, dtype=np.int64)
+    v = np.arange(u.size, dtype=np.int64) - np.repeat(shift, rows)
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u.view(), v.view()
+
+
 def generate_random_complete(n: int, seed: int) -> TemporalGraph:
     """Complete graph on n vertices with i.i.d. uniform-[0,1) edge labels.
 
@@ -168,10 +218,9 @@ def generate_random_complete(n: int, seed: int) -> TemporalGraph:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    iu, iv = np.triu_indices(n, k=1)
+    iu, iv = _complete_pairs(n)
     rng = np.random.default_rng(seed)
-    labels = rng.random(iu.size)
-    return TemporalGraph(n, iu, iv, labels)
+    return TemporalGraph._adopt(n, iu, iv, rng.random(iu.size))
 
 
 def generate_er(n: int, p: float, seed: int) -> TemporalGraph:
@@ -181,10 +230,10 @@ def generate_er(n: int, p: float, seed: int) -> TemporalGraph:
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    iu, iv = np.triu_indices(n, k=1)
+    iu, iv = _complete_pairs(n)
     rng = np.random.default_rng(seed)
     keep = rng.random(iu.size) < p
-    return TemporalGraph(n, iu[keep], iv[keep], np.zeros(int(keep.sum())))
+    return TemporalGraph._adopt(n, iu[keep], iv[keep], np.zeros(int(keep.sum())))
 
 
 def _clique_labels(tg: TemporalGraph, verts: Sequence[int]) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from tempclique.experiments import build_planted_instance
 from tempclique.graphs import (
     CliqueResult,
     IntervalTooWide,
@@ -16,6 +17,7 @@ from tempclique.graphs import (
     generate_random_complete,
     is_delta_clique,
 )
+from tempclique.io import loads_temporal_graph
 from tempclique.seeds import derive_seed
 from tempclique.solver import max_delta_clique_exact
 
@@ -45,6 +47,26 @@ def test_generator_is_deterministic_in_seed():
     c = generate_random_complete(20, 124)
     assert a == b
     assert not np.array_equal(a.labels, c.labels)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000])
+def test_complete_generator_is_triu_order_and_one_label_stream(n):
+    tg = generate_random_complete(n, 11)
+    iu, iv = np.triu_indices(n, k=1)
+    labels = np.random.default_rng(11).random(iu.size)
+    for got, want in ((tg.u, iu), (tg.v, iv), (tg.labels, labels)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_complete_generator_columns_follow_n():
+    """The pair columns are cached for one n; going back to an earlier n
+    rebuilds them."""
+    for n in (5, 7, 5):
+        tg = generate_random_complete(n, 3)
+        iu, iv = np.triu_indices(n, k=1)
+        assert np.array_equal(tg.u, iu) and np.array_equal(tg.v, iv)
+        g = generate_er(n, 1.0, 3)
+        assert np.array_equal(g.u, iu) and np.array_equal(g.v, iv)
 
 
 def test_label_mean_concentrates():
@@ -157,9 +179,45 @@ def test_from_edges_canonicalizes():
 
 
 def test_arrays_are_immutable():
-    tg = generate_random_complete(4, 1)
+    """Every array of every graph is read-only, and the pair columns that
+    complete instances share cannot be made writable again."""
+    base = generate_er(6, 0.5, 2)
+    planted = build_planted_instance(base, 0.4, "half", seed=3)
+    complete = generate_random_complete(6, 1)
+    graphs = [
+        complete,
+        generate_random_complete(1, 1),
+        base,
+        planted.base,
+        planted.temporal,
+        TemporalGraph(3, [0, 1], [2, 2], [0.5, 0.25]),
+        TemporalGraph(3, np.array([0, 1]), np.array([2, 2]), np.array([0.5, 0.25])),
+        TemporalGraph.from_columns(3, [2, 1], [0, 2], [0.5, 0.25]),
+        TemporalGraph.from_edges(3, [(2, 1, 0.75), (1, 0, 0.5)]),
+        loads_temporal_graph('{"n": 3, "edges": [[2, 1, 0.75], [1, 0, 0.5]]}'),
+    ]
+    for tg in graphs:
+        for arr in (tg.u, tg.v, tg.labels):
+            assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        tg.labels[0] = 0.5
+        complete.labels[0] = 0.5
+    for arr in (complete.u, complete.v):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+
+
+@pytest.mark.parametrize("build", [TemporalGraph, TemporalGraph.from_columns])
+def test_caller_arrays_are_copied(build):
+    """Writing to the arrays a graph was built from leaves the graph as it was."""
+    u = np.array([0, 0, 1], dtype=np.int64)
+    v = np.array([1, 2, 2], dtype=np.int64)
+    labels = np.array([0.25, 0.5, 0.75])
+    tg = build(3, u, v, labels)
+    u[:] = [1, 1, 0]
+    v[:] = [2, 2, 1]
+    labels[:] = 1.0
+    assert tg.edge_list() == [(0, 1, 0.25), (0, 2, 0.5), (1, 2, 0.75)]
+    assert u.flags.writeable and v.flags.writeable and labels.flags.writeable
 
 
 def test_clique_result_validation():
